@@ -374,7 +374,9 @@ def _report_all(reg, seed, budget) -> dict:
             for sid in sorted(reg.ids())
         },
         "equiv": {
-            sid: _compat_section(reg.space(sid), reg.metric(sid), seed, budget)["equiv"]
+            sid: equiv_check(
+                reg.space(sid), reg.metric(sid), budget, _rng(seed, f"equiv/{sid}")
+            ).to_json()
             for sid in sorted(reg.ids())
         },
         "counterexample": _counterexample_section(reg),

@@ -21,7 +21,8 @@ import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from functools import cached_property
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .extvalue import INF, ExtValue, parse_ext
 from .verdicts import Verdict, failed, passed
@@ -273,7 +274,8 @@ class ExtendedLine:
             return INF
         return ExtValue(sum(w * p.value for w, p in zip(ws, ps)))
 
-    def _grid(self):
+    @cached_property
+    def _grid(self) -> tuple:
         lo = self.lo if self.lo is not None else Fraction(-8)
         hi = self.hi if self.hi is not None else Fraction(8)
         step = Fraction(1, 4)
@@ -282,15 +284,15 @@ class ExtendedLine:
         while x <= hi:
             pts.append(ExtValue(x))
             x += step
-        return pts
+        return tuple(pts)
 
     def sample(self, rng):
         if rng.randint(1, 6) == 1:
             return INF
-        return rng.choice(self._grid())
+        return rng.choice(self._grid)
 
     def landmarks(self):
-        g = self._grid()
+        g = self._grid
         return [g[0], g[-1], g[len(g) // 2], INF]
 
     def enumerate_points(self):
@@ -584,6 +586,26 @@ class Branched:
 # the space type and its operations
 
 
+class CompiledCarrier(NamedTuple):
+    """The Cayley tables of a finite carrier.
+
+    tables[k][i][j] is the index of combine2(P_GRID[k], elems[i], elems[j]);
+    reach[i] is the bitmask of every such result over all k and j.
+    """
+
+    elems: tuple
+    index: dict
+    tables: tuple
+    reach: tuple
+
+
+def _bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @dataclass(frozen=True)
 class ConvexSpaceSpec:
     """A named carrier with a combination rule and a declared kind."""
@@ -596,6 +618,25 @@ class ConvexSpaceSpec:
     @property
     def is_finite(self) -> bool:
         return self.carrier.is_finite
+
+    @cached_property
+    def compiled(self) -> CompiledCarrier:
+        """The carrier's Cayley tables, built by combine2 on first use and
+        kept on this spec.  Finite carriers only."""
+        elems = self.enumerate_elements()
+        if elems is None:
+            raise ValueError(f"{self.id}: Cayley tables need a finite carrier")
+        index = {e: i for i, e in enumerate(elems)}
+        tables = tuple(
+            tuple(tuple(index[combine2(self, p, x, y)] for y in elems) for x in elems)
+            for p in P_GRID
+        )
+        reach = [0] * len(elems)
+        for table in tables:
+            for i, row in enumerate(table):
+                for j in row:
+                    reach[i] |= 1 << j
+        return CompiledCarrier(tuple(elems), index, tables, tuple(reach))
 
     def element(self, raw) -> Element:
         p = self.carrier.normalize(raw)
@@ -755,15 +796,13 @@ class Ideal:
 
 
 def is_ideal(space: ConvexSpaceSpec, members: frozenset) -> bool:
-    elems = space.enumerate_elements()
-    if elems is None:
-        raise ValueError("ideal check needs a finite carrier")
-    for a in members:
-        for b in elems:
-            for p in P_GRID:
-                if combine2(space, p, a, b) not in members:
-                    return False
-    return True
+    """Is every combination of a member with any point again a member?"""
+    c = space.compiled
+    idx = [c.index.get(e) for e in members]
+    if None in idx:
+        return False
+    mask = sum(1 << i for i in set(idx))
+    return all(c.reach[i] & ~mask == 0 for i in idx)
 
 
 def enumerate_ideals(space: ConvexSpaceSpec):
@@ -772,38 +811,27 @@ def enumerate_ideals(space: ConvexSpaceSpec):
     Ideals are closed under union and every ideal is a union of principal
     ones, so we close the principal ideals under pairwise union.
     """
-    elems = space.enumerate_elements()
-    if elems is None:
-        raise ValueError("enumerate_ideals needs a finite carrier")
-    full = frozenset(elems)
+    c = space.compiled
+    full = (1 << len(c.elems)) - 1
 
-    def principal(a):
-        closed = {a}
-        frontier = [a]
+    def principal(i):
+        closed, frontier = 1 << i, 1 << i
         while frontier:
-            x = frontier.pop()
-            for b in elems:
-                for p in P_GRID:
-                    c = combine2(space, p, x, b)
-                    if c not in closed:
-                        closed.add(c)
-                        frontier.append(c)
-        return frozenset(closed)
+            grown = 0
+            for j in _bits(frontier):
+                grown |= c.reach[j]
+            frontier = grown & ~closed
+            closed |= frontier
+        return closed
 
     found = set()
-    for a in elems:
-        pr = principal(a)
-        if pr != full:
-            found.add(pr)
-    grew = True
-    while grew:
-        grew = False
-        for one, two in itertools.combinations(list(found), 2):
-            u = one | two
-            if u != full and u not in found:
-                found.add(u)
-                grew = True
-    out = [Ideal(space.id, m) for m in found if is_ideal(space, m)]
+    todo = [principal(i) for i in range(len(c.elems))]
+    while todo:
+        m = todo.pop()
+        if m != full and m not in found:
+            todo.extend(m | other for other in found)
+            found.add(m)
+    out = [Ideal(space.id, frozenset(c.elems[i] for i in _bits(m))) for m in found]
     out.sort(key=lambda i: (len(i.members), [payload_sort_key(e.payload) for e in i.member_list()]))
     return tuple(out)
 
@@ -858,37 +886,31 @@ class PosetReport:
 
 
 def discrete_poset(space: ConvexSpaceSpec) -> PosetReport:
-    elems = space.enumerate_elements()
-    if elems is None:
-        raise ValueError("discrete_poset needs a finite carrier")
+    c = space.compiled
+    elems, tables = c.elems, c.tables
 
     def le(y, x):
-        return all(combine2(space, p, y, x) == x for p in P_GRID)
+        return all(t[y][x] == x for t in tables)
 
-    le_pairs = tuple(
-        (y, x) for y in elems for x in elems if le(y, x)
-    )
+    n = len(elems)
+    le_pairs = tuple((elems[y], elems[x]) for y in range(n) for x in range(n) if le(y, x))
     witness = {}
-    total = True
-    for x, y in itertools.combinations(elems, 2):
-        for p in P_GRID:
-            c = combine2(space, p, x, y)
-            if c != x and c != y:
-                total = False
+    for (i, x), (j, y) in itertools.combinations(enumerate(elems), 2):
+        for p, t in zip(P_GRID, tables):
+            if t[i][j] not in (i, j):
                 witness = {
                     "x": space.point_str(x),
                     "y": space.point_str(y),
-                    "combines_to": space.point_str(c),
+                    "combines_to": space.point_str(elems[t[i][j]]),
                     "p": str(p),
                 }
                 break
         if witness:
             break
-        if not le(x, y) and not le(y, x):
-            total = False
+        if not le(i, j) and not le(j, i):
             witness = {"x": space.point_str(x), "y": space.point_str(y), "incomparable": "true"}
             break
-    return PosetReport(space.id, le_pairs, total, witness)
+    return PosetReport(space.id, le_pairs, not witness, witness)
 
 
 @dataclass(frozen=True)

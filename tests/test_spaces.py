@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -297,22 +299,98 @@ def test_exhaustive_affinity_on_finite_spaces():
 # ideals and coseparation
 
 
+def combine_table(space):
+    """Every binary combination, keyed (p, x, y), computed by combine2."""
+    elems = space.enumerate_elements()
+    return {
+        (p, x, y): combine2(space, p, x, y) for p in P_GRID for x in elems for y in elems
+    }
+
+
+def closed_under_combine(table, elems, s):
+    return all(table[p, a, b] in s for a in s for b in elems for p in P_GRID)
+
+
 def brute_force_ideals(space):
     elems = space.enumerate_elements()
-    found = []
-    for r in range(1, len(elems)):
+    table = combine_table(space)
+    return {
+        frozenset(sub)
+        for r in range(1, len(elems))
+        for sub in itertools.combinations(elems, r)
+        if closed_under_combine(table, elems, frozenset(sub))
+    }
+
+
+def reference_poset(space):
+    """(le_pairs, is_total, witness) by the definitions, straight from combine2."""
+    elems = space.enumerate_elements()
+    table = combine_table(space)
+
+    def le(y, x):
+        return all(table[p, y, x] == x for p in P_GRID)
+
+    s = space.point_str
+    le_pairs = tuple((y, x) for y in elems for x in elems if le(y, x))
+    for x, y in itertools.combinations(elems, 2):
+        for p in P_GRID:
+            c = table[p, x, y]
+            if c != x and c != y:
+                return le_pairs, False, {"x": s(x), "y": s(y), "combines_to": s(c), "p": str(p)}
+        if not le(x, y) and not le(y, x):
+            return le_pairs, False, {"x": s(x), "y": s(y), "incomparable": "true"}
+    return le_pairs, True, {}
+
+
+def assert_structure_matches_combine2(space):
+    elems = space.enumerate_elements()
+    table = combine_table(space)
+    assert {i.members for i in enumerate_ideals(space)} == brute_force_ideals(space)
+    for r in range(len(elems) + 1):
         for sub in itertools.combinations(elems, r):
             s = frozenset(sub)
-            if is_ideal(space, s):
-                found.append(s)
-    return set(found)
+            assert is_ideal(space, s) == closed_under_combine(table, elems, s)
+    rep = discrete_poset(space)
+    assert (rep.le_pairs, rep.is_total, rep.witness) == reference_poset(space)
 
 
 @pytest.mark.parametrize("sid", ["C", "two", "chain-max", "D4-min", "point"])
 def test_enumerate_ideals_matches_brute_force(sid):
-    space = REG[sid]
-    got = {i.members for i in enumerate_ideals(space)}
-    assert got == brute_force_ideals(space)
+    assert_structure_matches_combine2(REG[sid])
+
+
+@st.composite
+def small_label_spaces(draw):
+    n = draw(st.integers(2, 7))
+    labels = tuple(draw(st.permutations("abcdefg"))[:n])
+    rule = draw(st.sampled_from(["min", "max", "collapse"]))
+    center = draw(st.sampled_from(labels)) if rule == "collapse" else None
+    return labels_space("L", labels, rule, center)
+
+
+@settings(max_examples=40, deadline=None)
+@given(space=small_label_spaces())
+def test_compiled_structure_matches_combine2_on_label_spaces(space):
+    assert_structure_matches_combine2(space)
+
+
+def test_compiled_structure_matches_combine2_on_a_finite_product():
+    assert_structure_matches_combine2(product_space(REG["two"], REG["D4-min"]))
+
+
+def test_is_ideal_is_false_for_points_outside_the_carrier():
+    two = REG["two"]
+    assert not is_ideal(two, frozenset([two.element("1"), C.element("u")]))
+
+
+def test_compiled_tables_die_with_their_spec():
+    space = labels_space("tmp", ("a", "b", "c"), "collapse", "b")
+    assert enumerate_ideals(space)
+    assert "compiled" in vars(space)
+    ref = weakref.ref(space)
+    del space
+    gc.collect()
+    assert ref() is None
 
 
 def test_ideals_of_C_are_the_three_expected():
@@ -451,6 +529,24 @@ def test_builtin_registry_contents():
 def test_naturals_space_payloads_are_ints():
     n = naturals_space("N5", 5)
     assert [e.payload for e in n.enumerate_elements()] == [0, 1, 2, 3, 4]
+
+
+def test_extended_line_draws_are_pinned():
+    expected = {
+        "rinf-grid": "13/4 4 -1 4 -5/4 inf 3/4 -11/4 -7/2 9/4 -3/2 -4 -3 inf inf -1/4",
+        "rplus-grid": "7/2 4 3/2 4 5/4 inf 9/4 1/2 1/4 3 5/4 0 1/2 inf inf 7/4",
+        "Rinf": "27/4 -2 7 -9/4 inf 3/2 -21/4 -27/4 9/2 -3 -31/4 -6 inf inf -1/2 -29/4",
+    }
+    for sid, draws in expected.items():
+        rng = random.Random(11)
+        carrier = REG[sid].carrier
+        assert " ".join(str(carrier.sample(rng)) for _ in range(16)) == draws
+
+
+def test_extended_line_grid_is_built_once():
+    carrier = REG["rinf-grid"].carrier
+    assert carrier._grid is carrier._grid
+    assert len(carrier._grid) == 33
 
 
 def test_extended_line_space_bounds():
