@@ -3,7 +3,8 @@ Wasserstein-1 transport on finitely supported measures.
 
 Costs are kept as pairs (infinite units, finite part) of exact rationals so
 the transport solvers can compare plans lexicographically: first minimize
-mass routed across infinite-distance pairs, then the finite cost.  A plan
+mass routed across infinite-distance pairs, then the finite cost.  The
+network simplex folds each pair into one int with the same order.  A plan
 that cannot avoid infinite pairs has distance inf, and the independent
 coupling is reported as the canonical plan in that case.
 """
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import lcm
 
 from .extvalue import INF, ExtValue, ext_abs_diff, ext_sum
 from .measures import FinMeasure, pushforward, to_text
@@ -338,10 +340,6 @@ def _cadd(a, b):
     return (a[0] + b[0], a[1] + b[1])
 
 
-def _csub(a, b):
-    return (a[0] - b[0], a[1] - b[1])
-
-
 def _cscale(t, a):
     return (t * a[0], t * a[1])
 
@@ -390,26 +388,46 @@ def wasserstein(P: FinMeasure, Q: FinMeasure, metric: ExtMetric) -> TransportRes
     return _finish(P, Q, supplies, demands, costs, plan, total, "lp")
 
 
+def _integer_instance(costs, supplies, demands):
+    """The instance scaled once to ints, with mass_den to scale plans back.
+
+    Masses go over their common denominator mass_den.  Each cost pair
+    (inf units, finite) folds to the int units * big + finite * cost_den,
+    where big = 2(n+m) * max|finite int| + 1.  The finite part of a reduced
+    cost is a signed sum of at most 2(n+m) - 1 arc costs, so it stays below
+    big in absolute value: an int is negative exactly when its pair is
+    lexicographically negative, and the pivot rule enters the same cells.
+    """
+
+    def scale(q, den):
+        return q.numerator * (den // q.denominator)
+
+    mass_den = lcm(*(w.denominator for w in supplies + demands))
+    cost_den = lcm(*(c[1].denominator for row in costs for c in row))
+    fin = [[scale(c[1], cost_den) for c in row] for row in costs]
+    big = 2 * (len(supplies) + len(demands)) * max(abs(f) for row in fin for f in row) + 1
+    icosts = [
+        [units.numerator * big + f for (units, _), f in zip(row, frow)]
+        for row, frow in zip(costs, fin)
+    ]
+    supplies, demands = ([scale(w, mass_den) for w in ws] for ws in (supplies, demands))
+    return icosts, supplies, demands, mass_den
+
+
 def _network_simplex(costs, supplies, demands):
+    icosts, supplies, demands, mass_den = _integer_instance(costs, supplies, demands)
     n, m = len(supplies), len(demands)
     basis = _northwest(supplies, demands)
     while True:
-        u, v = _potentials(basis, costs, n, m)
-        in_basis = {(i, j) for i, j, _ in basis}
-        entering = None
-        for i in range(n):
-            for j in range(m):
-                if (i, j) in in_basis:
-                    continue
-                if _csub(costs[i][j], _cadd(u[i], v[j])) < ZERO_COST:
-                    entering = (i, j)
-                    break
-            if entering is not None:
-                break
+        u, v = _potentials(basis, icosts, n, m)
+        # basic cells price to exactly 0, so only nonbasic cells can enter
+        entering = next(
+            ((i, j) for i in range(n) for j in range(m) if icosts[i][j] - u[i] - v[j] < 0), None
+        )
         if entering is None:
             break
         _pivot(basis, entering, m)
-    plan = {(i, j): w for i, j, w in basis if w > 0}
+    plan = {(i, j): Fraction(w, mass_den) for i, j, w in basis if w > 0}
     return plan, _plan_cost(plan, costs)
 
 
@@ -439,19 +457,19 @@ def _potentials(basis, costs, n, m):
     for i, j, _ in basis:
         rows[i].append(j)
         cols[j].append(i)
-    u[0] = ZERO_COST
+    u[0] = 0
     queue = deque([("r", 0)])
     while queue:
         kind, a = queue.popleft()
         if kind == "r":
             for j in rows[a]:
                 if v[j] is None:
-                    v[j] = _csub(costs[a][j], u[a])
+                    v[j] = costs[a][j] - u[a]
                     queue.append(("c", j))
         else:
             for i in cols[a]:
                 if u[i] is None:
-                    u[i] = _csub(costs[i][a], v[a])
+                    u[i] = costs[i][a] - v[a]
                     queue.append(("r", i))
     return u, v
 

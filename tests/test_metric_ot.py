@@ -1,9 +1,14 @@
+import hashlib
+import math
 import random
 from fractions import Fraction as F
 from itertools import combinations, product
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from girycheck import metric_ot
 from girycheck.extvalue import INF, ZERO, ExtValue
 from girycheck.measures import FinMeasure, dirac
 from girycheck.metric_ot import (
@@ -227,7 +232,8 @@ def test_wasserstein_on_diracs_is_the_ground_metric():
 
 def test_lp_matches_brute_force_everywhere():
     rng = random.Random(10)
-    spaces = ["unit_interval", "box2", "simplex3", "chain-max", "vee", "GxD"]
+    spaces = ["unit_interval", "box2", "simplex3", "chain-max", "vee", "GxD", "rinf-grid"]
+    infinite = 0
     for _ in range(120):
         space = REG[spaces[rng.randrange(len(spaces))]]
         metric = default_metric(space)
@@ -239,6 +245,8 @@ def test_lp_matches_brute_force_everywhere():
         assert lp.plan.marginals_ok() and bf.plan.marginals_ok()
         assert lp.plan.cost(metric) == lp.cost
         assert bf.plan.cost(metric) == bf.cost
+        infinite += lp.cost.is_inf
+    assert infinite  # the folded infinite-units term is exercised
 
 
 def test_infinite_distance_returns_independent_coupling():
@@ -270,6 +278,22 @@ def test_infinite_points_fine_when_matched():
     )
     res = wasserstein(P, Q, metric)
     assert res.cost == ExtValue(F(3, 2))
+    assert brute_force_wasserstein(P, Q, metric).cost == res.cost
+
+
+def test_infinite_units_outweigh_the_largest_finite_cost():
+    # sending -4 to inf and inf to 4 costs two infinite units, which must lose
+    # to moving -4 to 4 at the largest finite cost on the grid
+    rinf = REG["rinf-grid"]
+    metric = extended_abs_metric(rinf)
+    P = FinMeasure.from_pairs(
+        rinf.id, [(rinf.element(INF), F(1, 2)), (rinf.element(F(-4)), F(1, 2))]
+    )
+    Q = FinMeasure.from_pairs(
+        rinf.id, [(rinf.element(INF), F(1, 2)), (rinf.element(F(4)), F(1, 2))]
+    )
+    res = wasserstein(P, Q, metric)
+    assert res.cost == ExtValue(4)
     assert brute_force_wasserstein(P, Q, metric).cost == res.cost
 
 
@@ -305,3 +329,158 @@ def test_wasserstein_requires_same_space():
     Q = dirac(REG["box2"].element((0, 0)))
     with pytest.raises(ValueError):
         wasserstein(P, Q, UMETRIC)
+
+
+# ---------------------------------------------------------------------------
+# the simplex's pivot path, pinned to the rational solver's
+
+
+def _raw_point(rng, sid):
+    if sid == "box2":
+        return (F(rng.randint(0, 64), 64), F(rng.randint(0, 64), 64))
+    k = rng.randint(-16, 17)  # rinf-grid: quarter steps on [-4, 4], plus inf
+    return INF if k == 17 else ExtValue(F(k, 4))
+
+
+def _raw_measure(rng, sid, k):
+    """k distinct points with weights 1..9 over their sum, as the benchmark's
+    transport inputs are drawn."""
+    points = {}
+    while len(points) < k:
+        points.setdefault(_raw_point(rng, sid), None)
+    ws = [rng.randint(1, 9) for _ in range(k)]
+    return [(p, F(w, sum(ws))) for p, w in zip(points, ws)]
+
+
+def _matched_infinity(rng, k):
+    """k finite rinf-grid points carrying 3/4 of the mass, and inf the rest."""
+    ws = [rng.randint(1, 9) for _ in range(k)]
+    cuts = rng.sample(range(-16, 17), k)
+    return [(ExtValue(F(c, 4)), F(3 * w, 4 * sum(ws))) for c, w in zip(cuts, ws)] + [
+        (INF, F(1, 4))
+    ]
+
+
+def _measure(sid, raw):
+    space = REG[sid]
+    return FinMeasure.from_pairs(sid, [(space.element(p), w) for p, w in raw])
+
+
+def _pinned_instances():
+    rng = random.Random("ladder/1")
+    for k in (8, 16, 24, 32):
+        yield f"box2/{k}", "box2", _raw_measure(rng, "box2", k), _raw_measure(rng, "box2", k)
+    rng = random.Random("rinf/8")  # unequal infinite masses: the cost is inf
+    p, q = _raw_measure(rng, "rinf-grid", 20), _raw_measure(rng, "rinf-grid", 20)
+    yield "rinf-grid/inf", "rinf-grid", p, q
+    rng = random.Random("rinf/2")
+    yield "rinf-grid/matched", "rinf-grid", _matched_infinity(rng, 20), _matched_infinity(rng, 20)
+
+
+# pivot count and sha256 of the sorted plan text, taken from the rational solver
+PINNED_PIVOT_PATHS = {
+    "box2/8": (14, "8030c00f0df01102e54f78df84cd2653afe160fe4ad2811679a95da164105f0d"),
+    "box2/16": (79, "d7ed25f6aa5be00a340a7cf6f1a1f5a53714b1f3a83ebfa24234254453d88c3b"),
+    "box2/24": (267, "5e469d357f99b7654610707a244bb225a3424554a03129cc424ebd61d4f8b71b"),
+    "box2/32": (305, "ecf76560f6db19304dd73715ce10847d04ec2b94630bfca17d5169ce74756872"),
+    "rinf-grid/inf": (74, "a7e04798ecf1fa6277d6a106a5025fffaeec846bf923645d0d38d1d98ffba981"),
+    "rinf-grid/matched": (6, "18e0e625d6b21a9423b2dd9ff36afa04b00f352f70825025b737d53f778533ea"),
+}
+
+
+def test_pivot_path_is_pinned(monkeypatch):
+    pivots = [0]
+    pivot = metric_ot._pivot
+
+    def counting(*args):
+        pivots[0] += 1
+        return pivot(*args)
+
+    monkeypatch.setattr(metric_ot, "_pivot", counting)
+    seen = {}
+    for name, sid, p_raw, q_raw in _pinned_instances():
+        pivots[0] = 0
+        res = wasserstein(_measure(sid, p_raw), _measure(sid, q_raw), default_metric(REG[sid]))
+        text = "\n".join(sorted(f"{e.payload[0]} {e.payload[1]} {w}" for e, w in res.plan.joint.atoms))
+        seen[name] = (pivots[0], hashlib.sha256(text.encode()).hexdigest())
+    assert seen == PINNED_PIVOT_PATHS
+
+
+# ---------------------------------------------------------------------------
+# a min-cost-flow oracle for supports beyond the brute force's reach
+
+
+def _flow_cost(P, Q, metric):
+    """W1 by networkx on the instance scaled to integers here: a maximum flow
+    over the finite-cost edges decides whether a finite plan exists, and
+    min_cost_flow_cost then gives the optimum."""
+    nx = pytest.importorskip("networkx")
+    xs, ys = P.atoms, Q.atoms
+    mass_scale = math.lcm(*(w.denominator for _, w in xs + ys))
+    finite = {}
+    for i, (x, _) in enumerate(xs):
+        for j, (y, _) in enumerate(ys):
+            d = metric(x, y)
+            if not d.is_inf:
+                finite[i, j] = d.value
+    cost_scale = math.lcm(*(c.denominator for c in finite.values()))
+    g = nx.DiGraph()
+    for side, atoms, sign in (("x", xs, -1), ("y", ys, 1)):
+        for i, (_, w) in enumerate(atoms):
+            units = w.numerator * mass_scale // w.denominator
+            g.add_node((side, i), demand=sign * units)
+            g.add_edge(*(("s", ("x", i)) if side == "x" else (("y", i), "t")), capacity=units)
+    for (i, j), c in finite.items():
+        g.add_edge(("x", i), ("y", j), weight=c.numerator * cost_scale // c.denominator)
+    if nx.maximum_flow_value(g, "s", "t") < mass_scale:
+        return INF
+    g.remove_nodes_from(["s", "t"])
+    return ExtValue(F(nx.min_cost_flow_cost(g), mass_scale * cost_scale))
+
+
+_GRID64 = st.integers(0, 64).map(lambda k: F(k, 64))
+_POINTS = {
+    "box2": st.tuples(_GRID64, _GRID64),
+    "unit_interval": _GRID64,
+    "simplex3": st.lists(st.integers(1, 9), min_size=3, max_size=3).map(
+        lambda cs: tuple(F(c, sum(cs)) for c in cs)
+    ),
+    "rinf-grid": st.integers(-16, 17).map(lambda k: INF if k == 17 else ExtValue(F(k, 4))),
+}
+
+
+@st.composite
+def _measure_pairs(draw):
+    sid = draw(st.sampled_from(sorted(_POINTS)))
+
+    def measure():
+        k = draw(st.integers(5, 32))
+        points = draw(st.lists(_POINTS[sid], min_size=k, max_size=k, unique=True))
+        ws = draw(st.lists(st.integers(1, 9), min_size=k, max_size=k))
+        return _measure(sid, [(p, F(w, sum(ws))) for p, w in zip(points, ws)])
+
+    return sid, measure(), measure()
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(instance=_measure_pairs())
+def test_wasserstein_matches_min_cost_flow(instance):
+    sid, P, Q = instance
+    metric = default_metric(REG[sid])
+    res = wasserstein(P, Q, metric)
+    assert res.cost == _flow_cost(P, Q, metric)
+    assert res.plan.marginals_ok()
+    assert res.plan.cost(metric) == res.cost
+
+
+def test_wasserstein_support_cap():
+    P = _measure("box2", _raw_measure(random.Random("cap/64"), "box2", 64))
+    Q = _measure("box2", _raw_measure(random.Random("cap/64/q"), "box2", 64))
+    metric = default_metric(REG["box2"])
+    big = _measure("box2", _raw_measure(random.Random("cap/65"), "box2", 65))
+    for args in ((big, Q), (P, big)):
+        with pytest.raises(ValueError):
+            wasserstein(*args, metric)
+    res = wasserstein(P, Q, metric)
+    assert res.plan.marginals_ok()
+    assert res.cost == _flow_cost(P, Q, metric)
