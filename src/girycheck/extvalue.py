@@ -19,8 +19,8 @@ class ExtValue:
 
     def __init__(self, value=None):
         # value None means +inf
-        if value is None:
-            self._num = None
+        if value is None or type(value) is Fraction:
+            self._num = value
         elif isinstance(value, ExtValue):
             self._num = value._num
         else:
@@ -48,12 +48,12 @@ class ExtValue:
 
     def __mul__(self, scalar):
         # scalar is a plain rational weight; 0 * inf = 0 by convention
-        c = Fraction(scalar)
-        if c < 0 and self.is_inf:
+        c = scalar if type(scalar) is Fraction else Fraction(scalar)
+        if self._num is not None:
+            return ExtValue(self._num * c)
+        if c < 0:
             raise ValueError("negative multiple of inf is not representable")
-        if self.is_inf:
-            return ZERO if c == 0 else INF
-        return ExtValue(self._num * c)
+        return ZERO if c == 0 else INF
 
     __rmul__ = __mul__
 

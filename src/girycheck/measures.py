@@ -9,6 +9,7 @@ checked with exact Fraction arithmetic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,6 +25,27 @@ from .spaces import (
 )
 
 
+def _as_fraction(w) -> Fraction:
+    """A weight as a Fraction.  A float is refused rather than converted:
+    its binary rounding would turn 0.1 + 0.9 into a total that is not 1."""
+    if type(w) is Fraction:
+        return w
+    if isinstance(w, float):
+        raise ValueError(f"float weight {w!r}; weights must be int or Fraction")
+    return Fraction(w)
+
+
+def _check_unit_mass(weights) -> None:
+    """Raise unless the Fraction weights sum to exactly 1.  They are summed
+    as integers over their least common denominator, which is cheaper than
+    a chain of Fraction additions, each normalised by a gcd."""
+    ws = [(w.numerator, w.denominator) for w in weights]
+    den = math.lcm(*(d for _, d in ws))
+    num = sum(n * (den // d) for n, d in ws)
+    if num != den:
+        raise ValueError(f"total mass {Fraction(num, den)}, expected 1")
+
+
 @dataclass(frozen=True)
 class FinMeasure:
     """Atoms are deduplicated, positively weighted, sorted canonically, and
@@ -36,19 +58,18 @@ class FinMeasure:
     def from_pairs(cls, space_id: str, pairs) -> "FinMeasure":
         merged = {}
         for e, w in pairs:
-            w = Fraction(w)
-            if w < 0:
+            w = _as_fraction(w)
+            if w.numerator < 0:
                 raise ValueError(f"negative weight {w}")
-            if w == 0:
+            if not w:
                 continue
             if not isinstance(e, Element) or e.space_id != space_id:
                 raise ValueError(f"atom {e!r} does not live in {space_id}")
-            merged[e] = merged.get(e, Fraction(0)) + w
+            old = merged.get(e)
+            merged[e] = w if old is None else old + w
         if not merged:
             raise ValueError("measure with no mass")
-        total = sum(merged.values())
-        if total != 1:
-            raise ValueError(f"total mass {total}, expected 1")
+        _check_unit_mass(merged.values())
         atoms = tuple(
             sorted(merged.items(), key=lambda kv: payload_sort_key(kv[0].payload))
         )
@@ -81,19 +102,18 @@ class MetaMeasure:
     def from_pairs(cls, space_id: str, pairs) -> "MetaMeasure":
         merged = {}
         for P, w in pairs:
-            w = Fraction(w)
-            if w < 0:
+            w = _as_fraction(w)
+            if w.numerator < 0:
                 raise ValueError(f"negative weight {w}")
-            if w == 0:
+            if not w:
                 continue
             if not isinstance(P, FinMeasure) or P.space_id != space_id:
                 raise ValueError(f"inner measure on {getattr(P, 'space_id', '?')}, expected {space_id}")
-            merged[P] = merged.get(P, Fraction(0)) + w
+            old = merged.get(P)
+            merged[P] = w if old is None else old + w
         if not merged:
             raise ValueError("meta-measure with no mass")
-        total = sum(merged.values())
-        if total != 1:
-            raise ValueError(f"total mass {total}, expected 1")
+        _check_unit_mass(merged.values())
         atoms = tuple(sorted(merged.items(), key=lambda kv: kv[0].sort_key()))
         return cls(space_id, atoms)
 

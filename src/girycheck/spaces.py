@@ -94,6 +94,10 @@ def _payload_str(p) -> str:
 
 def payload_sort_key(p):
     """Total order on payloads of a common shape, for canonical listings."""
+    if type(p) is Fraction:
+        return ("f", p)
+    if type(p) is str:
+        return ("s", p)
     if isinstance(p, ExtValue):
         return ("g", ()) if p.is_inf else ("f", p.value)
     if isinstance(p, (Fraction, int)):

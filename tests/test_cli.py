@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -231,6 +232,11 @@ def test_report_all_is_byte_identical_across_hash_seeds(tmp_path):
     assert r1.returncode == 0 and r2.returncode == 0
     b1, b2 = out1.read_bytes(), out2.read_bytes()
     assert b1 == b2
+    # A pinned digest: any change to a sampler draw, a canonical atom order
+    # or a verdict changes these bytes.
+    assert hashlib.sha256(b1).hexdigest() == (
+        "ba488af3817588394e3c94f9833f482b43f21fdedcc8a8eee88671e86e14ba18"
+    )
     doc = json.loads(b1)
     assert doc["schema"] == 1 and doc["seed"] == 7
     assert doc["ok"] is True

@@ -1,7 +1,10 @@
+import hashlib
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from girycheck.extvalue import INF, ExtValue
 from girycheck.measures import (
@@ -23,11 +26,13 @@ from girycheck.sampling import random_measure, random_meta, random_tower
 from girycheck.spaces import (
     RINF,
     AffineMap,
+    Element,
     builtin_spaces,
     char_map,
     combine,
     enumerate_ideals,
     ext_element,
+    payload_sort_key,
 )
 
 REG = builtin_spaces()
@@ -66,6 +71,150 @@ def test_masses_must_sum_to_one():
         FinMeasure.from_pairs(
             UNIT.id, [(UNIT.element(0), F(3, 2)), (UNIT.element(1), F(-1, 2))]
         )
+
+
+def test_float_weights_are_refused():
+    x, y = UNIT.element(0), UNIT.element(1)
+    for ws in ((0.5, 0.5), (0.1, 0.9), (F(1, 2), 0.5)):
+        with pytest.raises(ValueError, match="float weight"):
+            FinMeasure.from_pairs(UNIT.id, list(zip((x, y), ws)))
+
+
+def test_float_weights_are_refused_by_meta_measures():
+    P, R = dirac(UNIT.element(0)), dirac(UNIT.element(1))
+    for ws in ((0.5, 0.5), (0.1, 0.9), (F(1, 2), 0.5)):
+        with pytest.raises(ValueError, match="float weight"):
+            MetaMeasure.from_pairs(UNIT.id, list(zip((P, R), ws)))
+
+
+# Exact oracles for the one-pass from_pairs: the plain constructors, with
+# Fraction(w) on every weight, a Fraction(0)-seeded merge and a Fraction sum
+# for the total.
+
+
+def _reference_fin_from_pairs(space_id, pairs):
+    merged = {}
+    for e, w in pairs:
+        w = F(w)
+        if w < 0:
+            raise ValueError(f"negative weight {w}")
+        if w == 0:
+            continue
+        if not isinstance(e, Element) or e.space_id != space_id:
+            raise ValueError(f"atom {e!r} does not live in {space_id}")
+        merged[e] = merged.get(e, F(0)) + w
+    if not merged:
+        raise ValueError("measure with no mass")
+    total = sum(merged.values())
+    if total != 1:
+        raise ValueError(f"total mass {total}, expected 1")
+    atoms = tuple(
+        sorted(merged.items(), key=lambda kv: payload_sort_key(kv[0].payload))
+    )
+    return FinMeasure(space_id, atoms)
+
+
+def _reference_meta_from_pairs(space_id, pairs):
+    merged = {}
+    for P, w in pairs:
+        w = F(w)
+        if w < 0:
+            raise ValueError(f"negative weight {w}")
+        if w == 0:
+            continue
+        if not isinstance(P, FinMeasure) or P.space_id != space_id:
+            raise ValueError(f"inner measure on {getattr(P, 'space_id', '?')}, expected {space_id}")
+        merged[P] = merged.get(P, F(0)) + w
+    if not merged:
+        raise ValueError("meta-measure with no mass")
+    total = sum(merged.values())
+    if total != 1:
+        raise ValueError(f"total mass {total}, expected 1")
+    atoms = tuple(sorted(merged.items(), key=lambda kv: kv[0].sort_key()))
+    return MetaMeasure(space_id, atoms)
+
+
+# Each pair list draws in-space atoms (repeats likely) with nonnegative
+# Fraction or int weights, zeros included; half the lists are rescaled to
+# total 1, so the success path is reached and not just the total-mass error.
+# One list in four gets a stray atom (foreign space, or not a measure at
+# all) and one in four a negative weight, at a random position.
+FIN_ATOMS = [UNIT.element(F(k, 4)) for k in range(5)]
+FIN_STRAYS = [CHAIN.element("a"), "x", None]
+META_ATOMS = [
+    dirac(UNIT.element(0)),
+    dirac(UNIT.element(1)),
+    FinMeasure.from_pairs(UNIT.id, [(UNIT.element(0), F(1, 3)), (UNIT.element(1), F(2, 3))]),
+]
+META_STRAYS = [dirac(CHAIN.element("a")), UNIT.element(0), "x"]
+WEIGHTS = st.one_of(
+    st.fractions(min_value=0, max_value=2, max_denominator=6),
+    st.integers(min_value=0, max_value=2),
+)
+NEGATIVE = st.one_of(
+    st.fractions(max_value=F(-1, 6), min_value=-1, max_denominator=6),
+    st.just(-1),
+)
+
+
+@st.composite
+def pair_lists(draw, atoms, strays):
+    pairs = draw(st.lists(st.tuples(st.sampled_from(atoms), WEIGHTS), max_size=6))
+    total = sum(F(w) for _, w in pairs)
+    if total and draw(st.booleans()):
+        pairs = [(a, F(w) / total) for a, w in pairs]
+    fault = draw(st.sampled_from((None, None, "stray", "negative")))
+    if fault == "stray":
+        extra = (draw(st.sampled_from(strays)), draw(WEIGHTS))
+    elif fault == "negative":
+        extra = (draw(st.sampled_from(atoms)), draw(NEGATIVE))
+    if fault:
+        pairs.insert(draw(st.integers(0, len(pairs))), extra)
+    return pairs
+
+
+def _outcome(build, space_id, pairs):
+    try:
+        M = build(space_id, pairs)
+    except Exception as exc:
+        return (type(exc), str(exc))
+    assert all(type(w) is F for _, w in M.atoms)
+    return ("ok", M.atoms)
+
+
+@settings(max_examples=200)
+@given(pair_lists(FIN_ATOMS, FIN_STRAYS), pair_lists(META_ATOMS, META_STRAYS))
+def test_from_pairs_matches_reference(fin_pairs, meta_pairs):
+    assert _outcome(FinMeasure.from_pairs, UNIT.id, fin_pairs) == _outcome(
+        _reference_fin_from_pairs, UNIT.id, fin_pairs
+    )
+    assert _outcome(MetaMeasure.from_pairs, UNIT.id, meta_pairs) == _outcome(
+        _reference_meta_from_pairs, UNIT.id, meta_pairs
+    )
+
+
+# sha256 of 50 seeded random_meta draws per space, in canonical text form.
+# They pin both what the sampler draws and the canonical atom order, which
+# the byte-stable report-all JSON rests on.
+META_STREAM_SHA256 = {
+    "box2": "6f21597f27a876cf4e50323f5154fdcc813a86edf13b0df03acbffb69f59b108",
+    "simplex3": "838f9a5581783ee228f862d3230c251a3f5e32b51532e84799a38d3ac8f6744f",
+    "rinf-grid": "e31896c3d507b6144ea271351fed788853e075cfab4935fad589899c2bf7d3a6",
+    "N-min": "13e8bef29f4f6a01315e05b528c3d04c9689f55a8990c5c5a2b9660316e18efd",
+    "GxD": "899a3e35ceff9485c31aea5e731ac7e0a57aa6af1c09b2104615ef7256182877",
+    "vee": "14d063fe13ab608f7f96927173435a82f70c97463bdc41d46440ff2958dcb99d",
+}
+
+
+def test_random_meta_stream_is_pinned():
+    for sid, digest in META_STREAM_SHA256.items():
+        space = REG[sid]
+        rng = random.Random(f"pin/{sid}")
+        lines = []
+        for _ in range(50):
+            Q = random_meta(rng, space, 5, 5)
+            lines.append("; ".join(f"{q}: {to_text(P, space)}" for P, q in Q.atoms))
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest, sid
 
 
 def test_mass_lookup_and_support():
