@@ -96,14 +96,12 @@ def payload_sort_key(p):
     """Total order on payloads of a common shape, for canonical listings."""
     if type(p) is Fraction:
         return ("f", p)
-    if type(p) is str:
+    if isinstance(p, str):
         return ("s", p)
     if isinstance(p, ExtValue):
         return ("g", ()) if p.is_inf else ("f", p.value)
     if isinstance(p, (Fraction, int)):
         return ("f", Fraction(p))
-    if isinstance(p, str):
-        return ("s", p)
     if isinstance(p, tuple):
         return ("t", tuple(payload_sort_key(c) for c in p))
     raise TypeError(f"unsortable payload {p!r}")
