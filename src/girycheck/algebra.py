@@ -11,7 +11,7 @@ result as a constructed operator.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -63,6 +63,9 @@ class AlgebraMap:
     rule: object
     provenance: str  # geometric-barycenter / discrete-min / discrete-max /
     #                  mixed-product / mixed-semidirect / user-supplied
+    # the 2-point compat verdict a geometric operator was built on; a Verdict
+    # holds a dict, so it stays out of __eq__ and __hash__
+    compat: Optional[Verdict] = field(default=None, compare=False)
 
     @property
     def space_id(self) -> str:
@@ -155,17 +158,12 @@ def build_algebra(space: ConvexSpaceSpec, metric: ExtMetric = None, budget: int 
         # a totally ordered collapse rule still folds consistently
         return AlgebraMap(space, _fold_rule(space), "discrete-fold")
 
-    if isinstance(carrier, (Interval, Box, Simplex)):
+    if isinstance(carrier, (Interval, Box, Simplex, ExtendedLine)):
         comp = compat_check_2pt(space, metric, budget, rng)
         if not comp.ok:
             return Rejection(space.id, (("compat", comp),))
-        return AlgebraMap(space, _barycenter_rule(space), "geometric-barycenter")
-
-    if isinstance(carrier, ExtendedLine):
-        comp = compat_check_2pt(space, metric, budget, rng)
-        if not comp.ok:
-            return Rejection(space.id, (("compat", comp),))
-        return AlgebraMap(space, _absorbing_barycenter_rule(space), "geometric-barycenter")
+        rule = _absorbing_barycenter_rule if isinstance(carrier, ExtendedLine) else _barycenter_rule
+        return AlgebraMap(space, rule(space), "geometric-barycenter", comp)
 
     if isinstance(carrier, Product):
         subs = []
@@ -523,16 +521,17 @@ def full_report(space: ConvexSpaceSpec, metric: ExtMetric = None, budget: int = 
     alg = build_algebra(space, metric, budget, random.Random(rng.randrange(2**30)))
     if isinstance(alg, Rejection):
         return alg
-    compat = None
-    if isinstance(space.carrier, (Interval, Box, Simplex, ExtendedLine)):
-        compat = compat_check_2pt(space, metric, budget, random.Random(rng.randrange(2**30)))
+    if alg.compat is not None:
+        # geometric reports reserve one stream for compat, which build_algebra
+        # ran above; drawing it keeps the seeds of the law streams below
+        rng.randrange(2**30)
     unit = verify_unit_law(alg, 200, random.Random(rng.randrange(2**30)))
     mult = verify_mult_law(alg, budget, random.Random(rng.randrange(2**30)))
     cosep = verify_coseparator_property(
         alg, coseparator_maps(space), 200, random.Random(rng.randrange(2**30))
     )
     supp = support_condition_check(alg, 200, random.Random(rng.randrange(2**30)))
-    return AlgebraReport(space.id, alg.provenance, unit, mult, cosep, supp, compat)
+    return AlgebraReport(space.id, alg.provenance, unit, mult, cosep, supp, alg.compat)
 
 
 # ---------------------------------------------------------------------------

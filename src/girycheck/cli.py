@@ -35,6 +35,7 @@ from .metric_ot import (
     compat_check_4pt,
     discrete_metric,
     equiv_check,
+    equiv_verdict,
     extended_abs_metric,
     l1_metric,
     linf_metric,
@@ -239,7 +240,7 @@ def _laws_section(space, metric, seed, budget) -> dict:
 def _compat_section(space, metric, seed, budget) -> dict:
     two = compat_check_2pt(space, metric, budget, _rng(seed, f"compat2/{space.id}"))
     four = compat_check_4pt(space, metric, budget, _rng(seed, f"compat4/{space.id}"))
-    eq = equiv_check(space, metric, budget, _rng(seed, f"equiv/{space.id}"))
+    eq = equiv_verdict(two, four)
     return {
         "two_point": two.to_json(),
         "four_point": four.to_json(),

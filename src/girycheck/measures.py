@@ -18,21 +18,11 @@ from .spaces import (
     AffineMap,
     ConvexSpaceSpec,
     Element,
-    WeightVector,
+    _as_fraction,
     _split_top,
     as_ext,
     payload_sort_key,
 )
-
-
-def _as_fraction(w) -> Fraction:
-    """A weight as a Fraction.  A float is refused rather than converted:
-    its binary rounding would turn 0.1 + 0.9 into a total that is not 1."""
-    if type(w) is Fraction:
-        return w
-    if isinstance(w, float):
-        raise ValueError(f"float weight {w!r}; weights must be int or Fraction")
-    return Fraction(w)
 
 
 def _check_unit_mass(weights) -> None:
@@ -152,7 +142,7 @@ def mu(Q: MetaMeasure) -> FinMeasure:
 
 def convex_combine_measures(weights, measures) -> FinMeasure:
     """Pointwise mixture sum_i w_i * P_i, independent of mu for cross-checks."""
-    ws = list(weights.weights if isinstance(weights, WeightVector) else map(Fraction, weights))
+    ws = [_as_fraction(w) for w in weights]
     Ps = list(measures)
     if len(ws) != len(Ps):
         raise ValueError("weights and measures differ in length")
@@ -170,7 +160,7 @@ def convex_combine_measures(weights, measures) -> FinMeasure:
 
 def mix_meta(weights, metas) -> MetaMeasure:
     """Mixture of meta-measures (the outer flattening of a depth-3 tower)."""
-    ws = list(weights.weights if isinstance(weights, WeightVector) else map(Fraction, weights))
+    ws = [_as_fraction(w) for w in weights]
     Qs = list(metas)
     pairs = []
     for w, Q in zip(ws, Qs):

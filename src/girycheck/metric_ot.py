@@ -23,7 +23,6 @@ from .extvalue import INF, ExtValue, ext_abs_diff, ext_sum
 from .measures import FinMeasure, pushforward, to_text
 from .sampling import random_measure
 from .spaces import (
-    P_GRID,
     Box,
     Branched,
     ConvexSpaceSpec,
@@ -34,6 +33,7 @@ from .spaces import (
     Product,
     Simplex,
     combine2,
+    scan,
 )
 from .verdicts import PASS, SAMPLED_PASS, Verdict, failed, passed
 
@@ -190,38 +190,17 @@ def default_metric(space: ConvexSpaceSpec) -> ExtMetric:
 # compatibility of metric with the convex structure
 
 
-def _finite_elements(space: ConvexSpaceSpec):
-    return list(space.enumerate_elements()) if space.is_finite else None
-
-
 def compat_check_2pt(
     space: ConvexSpaceSpec, metric: ExtMetric, budget: int = 500, rng=None
 ) -> Verdict:
     """d(px + (1-p)z, py + (1-p)z) <= p * d(x, y)."""
 
-    def holds(p, x, y, z):
+    def check(p, x, y, z):
         lhs = metric(combine2(space, p, x, z), combine2(space, p, y, z))
         rhs = p * metric(x, y)
-        return lhs <= rhs, lhs, rhs
+        return None if lhs <= rhs else _compat_witness(space, p, lhs, rhs, x=x, y=y, z=z)
 
-    elems = _finite_elements(space)
-    if elems is not None and len(elems) ** 3 * len(P_GRID) <= EXHAUSTIVE_CAP:
-        for p in P_GRID:
-            for x in elems:
-                for y in elems:
-                    for z in elems:
-                        ok, lhs, rhs = holds(p, x, y, z)
-                        if not ok:
-                            return failed(_compat_witness(space, p, lhs, rhs, x=x, y=y, z=z))
-        return passed(exhaustive=True)
-    rng = rng or random.Random(0)
-    for _ in range(budget):
-        p = rng.choice(P_GRID)
-        x, y, z = (space.sample_element(rng) for _ in range(3))
-        ok, lhs, rhs = holds(p, x, y, z)
-        if not ok:
-            return failed(_compat_witness(space, p, lhs, rhs, x=x, y=y, z=z))
-    return passed(exhaustive=False, note=f"{budget} sampled quadruples")
+    return _compat_scan(space, 3, check, budget, rng)
 
 
 def compat_check_4pt(
@@ -229,32 +208,19 @@ def compat_check_4pt(
 ) -> Verdict:
     """d(px + (1-p)y, px' + (1-p)y') <= p d(x,x') + (1-p) d(y,y')."""
 
-    def holds(p, x, y, xp, yp):
+    def check(p, x, y, xp, yp):
         lhs = metric(combine2(space, p, x, y), combine2(space, p, xp, yp))
         rhs = p * metric(x, xp) + (1 - p) * metric(y, yp)
-        return lhs <= rhs, lhs, rhs
+        return None if lhs <= rhs else _compat_witness(space, p, lhs, rhs, x=x, y=y, xp=xp, yp=yp)
 
-    elems = _finite_elements(space)
-    if elems is not None and len(elems) ** 4 * len(P_GRID) <= EXHAUSTIVE_CAP:
-        for p in P_GRID:
-            for x in elems:
-                for y in elems:
-                    for xp in elems:
-                        for yp in elems:
-                            ok, lhs, rhs = holds(p, x, y, xp, yp)
-                            if not ok:
-                                return failed(
-                                    _compat_witness(space, p, lhs, rhs, x=x, y=y, xp=xp, yp=yp)
-                                )
-        return passed(exhaustive=True)
-    rng = rng or random.Random(0)
-    for _ in range(budget):
-        p = rng.choice(P_GRID)
-        x, y, xp, yp = (space.sample_element(rng) for _ in range(4))
-        ok, lhs, rhs = holds(p, x, y, xp, yp)
-        if not ok:
-            return failed(_compat_witness(space, p, lhs, rhs, x=x, y=y, xp=xp, yp=yp))
-    return passed(exhaustive=False, note=f"{budget} sampled quadruples")
+    return _compat_scan(space, 4, check, budget, rng)
+
+
+def _compat_scan(space, arity, check, budget, rng) -> Verdict:
+    return scan(
+        space, arity, check, budget, rng or random.Random(0),
+        cap=EXHAUSTIVE_CAP, grid=True, note=f"{budget} sampled quadruples",
+    )
 
 
 def _compat_witness(space, p, lhs, rhs, **points) -> dict:
@@ -267,13 +233,18 @@ def _compat_witness(space, p, lhs, rhs, **points) -> dict:
 def equiv_check(
     space: ConvexSpaceSpec, metric: ExtMetric, budget: int = 500, rng=None
 ) -> Verdict:
-    """The two-point and four-point conditions must render the same verdict."""
+    """Run both compatibility scans on streams drawn from rng and judge
+    their agreement with equiv_verdict."""
     rng = rng or random.Random(0)
     two = compat_check_2pt(space, metric, budget, random.Random(rng.random()))
     four = compat_check_4pt(space, metric, budget, random.Random(rng.random()))
-    agree = two.ok == four.ok
+    return equiv_verdict(two, four)
+
+
+def equiv_verdict(two: Verdict, four: Verdict) -> Verdict:
+    """The two-point and four-point conditions must render the same verdict."""
     witness = {"two_point": two.status, "four_point": four.status}
-    if not agree:
+    if two.ok != four.ok:
         return failed(witness, note="one-sided compatibility failure")
     # agreement on a failure is definitive: both scans produced witnesses
     sampled = two.ok and (two.status != PASS or four.status != PASS)

@@ -53,6 +53,16 @@ class Element:
         return f"{self.space_id}:{_payload_str(self.payload)}"
 
 
+def _as_fraction(w) -> Fraction:
+    """A weight as a Fraction.  A float is refused rather than converted:
+    its binary rounding would turn 0.1 + 0.9 into a total that is not 1."""
+    if type(w) is Fraction:
+        return w
+    if isinstance(w, float):
+        raise ValueError(f"float weight {w!r}; weights must be int or Fraction")
+    return Fraction(w)
+
+
 @dataclass(frozen=True)
 class WeightVector:
     """Nonnegative rational weights summing to one."""
@@ -60,7 +70,7 @@ class WeightVector:
     weights: tuple
 
     def __post_init__(self):
-        ws = tuple(Fraction(w) for w in self.weights)
+        ws = tuple(_as_fraction(w) for w in self.weights)
         object.__setattr__(self, "weights", ws)
         if not ws:
             raise ValueError("empty weight vector")
@@ -670,7 +680,7 @@ def combine(space: ConvexSpaceSpec, weights, elements) -> Element:
 
     Zero-weight entries are dropped before the carrier rule runs.
     """
-    ws = list(weights.weights if isinstance(weights, WeightVector) else map(Fraction, weights))
+    ws = [_as_fraction(w) for w in weights]
     xs = list(elements)
     if len(ws) != len(xs):
         raise ValueError("weights and elements differ in length")
@@ -697,6 +707,43 @@ def combine2(space: ConvexSpaceSpec, p, x: Element, y: Element) -> Element:
     """Binary combination p*x + (1-p)*y."""
     p = Fraction(p)
     return combine(space, (p, 1 - p), (x, y))
+
+
+# ---------------------------------------------------------------------------
+# the exhaustive-or-sampled scan
+
+
+def scan(
+    space: ConvexSpaceSpec, arity: int, check, budget: int, rng, cap=None, grid=False, note=""
+) -> Verdict:
+    """Run check on arity-tuples of points of the space until it returns a
+    witness dict; the first witness fails the scan.
+
+    A finite carrier of n points is scanned exhaustively when cap is None
+    or n**arity * len(P_GRID) <= cap: every tuple in order, and with grid
+    every p of P_GRID outermost, passed to check before the points.
+    Otherwise budget tuples are drawn from rng, each after one
+    rng.choice(P_GRID) when grid is set; a sampled pass carries note.
+    """
+    elems = space.enumerate_elements()
+    exhaustive = elems is not None and (cap is None or len(elems) ** arity * len(P_GRID) <= cap)
+    if exhaustive:
+        axes = [elems] * arity
+        cases = itertools.product(P_GRID, *axes) if grid else itertools.product(*axes)
+    else:
+        if rng is None:
+            raise ValueError(f"sampled scan of {space.id} needs an rng")
+
+        def draw():
+            head = (rng.choice(P_GRID),) if grid else ()
+            return head + tuple(space.sample_element(rng) for _ in range(arity))
+
+        cases = (draw() for _ in range(budget))
+    for case in cases:
+        witness = check(*case)
+        if witness is not None:
+            return failed(witness)
+    return passed(exhaustive, "" if exhaustive else note)
 
 
 # ---------------------------------------------------------------------------
@@ -730,31 +777,23 @@ def is_affine(m: AffineMap, budget: int = 200, rng=None) -> Verdict:
     finds nothing returns sampled-pass.
     """
     dom, cod = m.domain, m.codomain
-    elems = dom.enumerate_elements()
-    if elems is not None and len(elems) ** 2 * len(P_GRID) <= 20000:
-        pairs = itertools.product(elems, elems)
-        exhaustive = True
-    else:
-        if rng is None:
-            raise ValueError("sampled affinity check needs an rng")
-        pairs = ((dom.sample_element(rng), dom.sample_element(rng)) for _ in range(budget))
-        exhaustive = False
-    for x, y in pairs:
+
+    def check(x, y):
         for p in P_GRID:
             lhs = m(combine2(dom, p, x, y))
             rhs = combine2(cod, p, m(x), m(y))
             if lhs != rhs:
-                return failed(
-                    {
-                        "map": m.name,
-                        "p": str(p),
-                        "x": dom.point_str(x),
-                        "y": dom.point_str(y),
-                        "lhs": cod.point_str(lhs),
-                        "rhs": cod.point_str(rhs),
-                    }
-                )
-    return passed(exhaustive)
+                return {
+                    "map": m.name,
+                    "p": str(p),
+                    "x": dom.point_str(x),
+                    "y": dom.point_str(y),
+                    "lhs": cod.point_str(lhs),
+                    "rhs": cod.point_str(rhs),
+                }
+        return None
+
+    return scan(dom, 2, check, budget, rng, cap=20000)
 
 
 def compose(outer: AffineMap, inner: AffineMap, name=None) -> AffineMap:
@@ -853,24 +892,17 @@ def char_map(space: ConvexSpaceSpec, ideal: Ideal) -> AffineMap:
 
 
 def coseparates(maps, space: ConvexSpaceSpec, budget: int = 400, rng=None) -> Verdict:
-    """Do the maps distinguish every pair of distinct points?"""
-    elems = space.enumerate_elements()
-    if elems is not None:
-        pairs = itertools.combinations(elems, 2)
-        exhaustive = True
-    else:
-        if rng is None:
-            raise ValueError("sampled coseparation check needs an rng")
-        pairs = (
-            (space.sample_element(rng), space.sample_element(rng)) for _ in range(budget)
-        )
-        exhaustive = False
-    for x, y in pairs:
-        if x == y:
-            continue
-        if all(m(x) == m(y) for m in maps):
-            return failed({"x": space.point_str(x), "y": space.point_str(y)})
-    return passed(exhaustive)
+    """Do the maps distinguish every pair of distinct points?
+
+    A finite carrier is scanned over ordered pairs; the check is symmetric,
+    so the first witness is the first unordered pair that fails."""
+
+    def check(x, y):
+        if x != y and all(m(x) == m(y) for m in maps):
+            return {"x": space.point_str(x), "y": space.point_str(y)}
+        return None
+
+    return scan(space, 2, check, budget, rng)
 
 
 # ---------------------------------------------------------------------------

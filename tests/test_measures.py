@@ -27,6 +27,7 @@ from girycheck.spaces import (
     RINF,
     AffineMap,
     Element,
+    WeightVector,
     builtin_spaces,
     char_map,
     combine,
@@ -86,6 +87,22 @@ def test_float_weights_are_refused_by_meta_measures():
         with pytest.raises(ValueError, match="float weight"):
             MetaMeasure.from_pairs(UNIT.id, list(zip((P, R), ws)))
 
+
+
+@pytest.mark.parametrize("ws", [(0.5, 0.5), (0.1, 0.9)])
+def test_float_weights_are_refused_by_every_mixture(ws):
+    x, y = UNIT.element(0), UNIT.element(1)
+    P, R = dirac(x), dirac(y)
+    Q = MetaMeasure.from_pairs(UNIT.id, [(P, F(1))])
+    mixtures = (
+        lambda: combine(UNIT, ws, (x, y)),
+        lambda: WeightVector(ws),
+        lambda: convex_combine_measures(ws, (P, R)),
+        lambda: mix_meta(ws, (Q, Q)),
+    )
+    for mix in mixtures:
+        with pytest.raises(ValueError, match="float weight"):
+            mix()
 
 # Exact oracles for the one-pass from_pairs: the plain constructors, with
 # Fraction(w) on every weight, a Fraction(0)-seeded merge and a Fraction sum
