@@ -1,21 +1,21 @@
 """Expectation operators on convex spaces.
 
-build_algebra routes on the carrier: barycenters where the metric is
-compatible with the convex structure, order extremes on totally ordered
-discrete spaces, componentwise operators on products, and branch-resolving
-operators on glued spaces.  Spaces that admit no operator are rejected
-with explicit witnesses rather than errors; the rejection is as much a
-result as a constructed operator.
+On finitely supported measures an algebra is the space's own combination
+rule: h(P) combines P's atoms with P's weights through the carrier, so a
+barycenter on geometric carriers, the extreme of the support on totally
+ordered discrete ones, componentwise on products and branch-resolving on
+glued spaces.  build_algebra only decides whether that map is an algebra
+(metric compatibility, a total order, its components and arms); spaces
+where it is not are rejected with explicit witnesses rather than errors,
+and the rejection is as much a result as a constructed operator.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
-from .extvalue import ext_sum
 from .measures import (
     FinMeasure,
     dirac,
@@ -41,7 +41,6 @@ from .spaces import (
     Simplex,
     char_map,
     combine,
-    combine2,
     compose,
     coseparates,
     discrete_poset,
@@ -51,8 +50,6 @@ from .spaces import (
     projection,
 )
 from .verdicts import Verdict, failed, passed
-
-from .measures import pushforward
 
 
 @dataclass(frozen=True)
@@ -139,7 +136,8 @@ def user_algebra(space: ConvexSpaceSpec, rule, provenance="user-supplied") -> Al
 
 
 def build_algebra(space: ConvexSpaceSpec, metric: ExtMetric = None, budget: int = 500, rng=None):
-    """Expectation operator for the space, or a Rejection with witnesses."""
+    """The space's own combination rule as an expectation operator, or a
+    Rejection with witnesses when that map is not an algebra."""
     metric = metric if metric is not None else default_metric(space)
     carrier = space.carrier
 
@@ -151,122 +149,43 @@ def build_algebra(space: ConvexSpaceSpec, metric: ExtMetric = None, budget: int 
             if not comp.ok:
                 reasons.append(("compat", comp))
             return Rejection(space.id, tuple(reasons))
-        if carrier.rule == "max":
-            return AlgebraMap(space, _extreme_rule(space, maximize=True), "discrete-max")
-        if carrier.rule == "min":
-            return AlgebraMap(space, _extreme_rule(space, maximize=False), "discrete-min")
         # a totally ordered collapse rule still folds consistently
-        return AlgebraMap(space, _fold_rule(space), "discrete-fold")
+        provenance = {"max": "discrete-max", "min": "discrete-min"}.get(carrier.rule, "discrete-fold")
+        return AlgebraMap(space, _combination_rule(space), provenance)
 
     if isinstance(carrier, (Interval, Box, Simplex, ExtendedLine)):
         comp = compat_check_2pt(space, metric, budget, rng)
         if not comp.ok:
             return Rejection(space.id, (("compat", comp),))
-        rule = _absorbing_barycenter_rule if isinstance(carrier, ExtendedLine) else _barycenter_rule
-        return AlgebraMap(space, rule(space), "geometric-barycenter", comp)
+        return AlgebraMap(space, _combination_rule(space), "geometric-barycenter", comp)
 
     if isinstance(carrier, Product):
-        subs = []
-        for comp_space in carrier.components:
-            sub = build_algebra(comp_space, None, budget, rng)
-            if isinstance(sub, Rejection):
-                reasons = tuple((f"{comp_space.id}:{name}", v) for name, v in sub.reasons)
-                return Rejection(space.id, reasons)
-            subs.append(sub)
-        return AlgebraMap(space, _product_rule(space, tuple(subs)), "mixed-product")
-
-    if isinstance(carrier, Branched):
+        parts, provenance = carrier.components, "mixed-product"
+    elif isinstance(carrier, Branched):
         poset = discrete_poset(carrier.branch_space)
         if not poset.is_total:
             return Rejection(space.id, (("branch-poset-not-total", failed(poset.witness)),))
-        arms = {}
-        for label, comp_space in carrier.components:
-            sub = build_algebra(comp_space, None, budget, rng)
-            if isinstance(sub, Rejection):
-                reasons = tuple((f"{comp_space.id}:{name}", v) for name, v in sub.reasons)
-                return Rejection(space.id, reasons)
-            arms[label] = sub
-        return AlgebraMap(space, _branched_rule(space, arms), "mixed-semidirect")
-
-    raise ValueError(f"no construction for carrier {type(carrier).__name__}")
-
-
-def _barycenter_rule(space):
-    def rule(P):
-        first = P.atoms[0][0].payload
-        if isinstance(first, tuple):
-            dims = range(len(first))
-            return space.element(tuple(sum(w * e.payload[k] for e, w in P.atoms) for k in dims))
-        return space.element(sum(w * e.payload for e, w in P.atoms))
-
-    return rule
+        parts, provenance = [comp for _, comp in carrier.components], "mixed-semidirect"
+    else:
+        raise ValueError(f"no construction for carrier {type(carrier).__name__}")
+    for part in parts:
+        sub = build_algebra(part, None, budget, rng)
+        if isinstance(sub, Rejection):
+            reasons = tuple((f"{part.id}:{name}", v) for name, v in sub.reasons)
+            return Rejection(space.id, reasons)
+    return AlgebraMap(space, _combination_rule(space), provenance)
 
 
-def _absorbing_barycenter_rule(space):
-    def rule(P):
-        return space.element(ext_sum(w * e.payload for e, w in P.atoms))
-
-    return rule
-
-
-def _extreme_rule(space, maximize: bool):
-    index = space.carrier._index
+def _combination_rule(space):
+    """h(P) = the carrier's combination of P's atoms with P's weights."""
 
     def rule(P):
-        best = None
-        for e, _ in P.atoms:
-            k = index(e.payload)
-            if best is None or (k > best[0] if maximize else k < best[0]):
-                best = (k, e)
-        return best[1]
-
-    return rule
-
-
-def _fold_rule(space):
-    def rule(P):
-        xs = support(P)
-        return combine(space, [Fraction(1, len(xs))] * len(xs), xs)
-
-    return rule
-
-
-def _product_rule(space, subs):
-    comps = space.carrier.components
-
-    def rule(P):
-        payload = []
-        for k, (comp, sub) in enumerate(zip(comps, subs)):
-            Pk = pushforward(lambda e, k=k, comp=comp: Element(comp.id, e.payload[k]), P)
-            payload.append(sub(Pk).payload)
-        return space.element(tuple(payload))
-
-    return rule
-
-
-def _branched_rule(space, arms):
-    carrier = space.carrier
-    bspace = carrier.branch_space
-
-    def rule(P):
-        labels = []
-        for e, _ in P.atoms:
-            if e.payload[0] not in labels:
-                labels.append(e.payload[0])
-        win = labels[0]
-        for lab in labels[1:]:
-            win = combine2(
-                bspace, Fraction(1, 2), bspace.element(win), bspace.element(lab)
-            ).payload
-        comp = carrier._component(win)
-        pairs = []
-        for e, w in P.atoms:
-            lab, a = e.payload
-            if lab != win:
-                a = carrier._transition_target(lab, win)
-            pairs.append((Element(comp.id, comp.carrier.normalize(a)), w))
-        inner = arms[win](FinMeasure.from_pairs(comp.id, pairs))
-        return space.element((win, inner.payload))
+        atoms = P.atoms
+        if len(atoms) == 1:
+            return atoms[0][0]
+        ws = [w for _, w in atoms]
+        ps = [e.payload for e, _ in atoms]
+        return Element(space.id, space.carrier.combine(ws, ps))
 
     return rule
 
@@ -417,7 +336,10 @@ def support_condition_check(h: AlgebraMap, budget: int = 300, rng=None) -> Optio
 
 
 def induced_structure_check(h: AlgebraMap, budget: int = 200, rng=None) -> Verdict:
-    """The combination induced by h agrees with the declared combine rule."""
+    """The combination induced by h agrees with the declared combine rule.
+
+    A built operator is that combine rule, so this holds by construction
+    there; it stays a real check for operators from user_algebra."""
     space = h.space
     rng = rng or random.Random(23)
     for _ in range(budget):
@@ -552,12 +474,8 @@ def counterexample_C(space: ConvexSpaceSpec = None) -> dict:
     compat = compat_check_2pt(space, metric)
     poset = discrete_poset(space)
 
-    # the would-be operator: transport each measure through the combine rule
-    def transported(P):
-        xs = support(P)
-        return combine(space, [w for _, w in P.atoms], xs)
-
-    candidate = user_algebra(space, transported)
+    # the would-be operator: the combine rule applied to each measure's atoms
+    candidate = user_algebra(space, _combination_rule(space))
     supp = support_condition_check(candidate, budget=50, rng=random.Random(3))
     rejection = build_algebra(space, metric)
 

@@ -45,6 +45,7 @@ from .metric_ot import (
 from .registry import Registry, builtin_registry
 from .sampling import random_measure
 from .spaces import (
+    Branched,
     ConvexSpaceSpec,
     Element,
     ExtendedLine,
@@ -203,7 +204,7 @@ def parse_space_file(path) -> Registry:
                 glues.append(_parse_glue_line(tokens[1:], line_no))
             elif tokens[0] == "space":
                 space, metric = _parse_space_line(tokens[1:], reg, tuple(glues), line_no)
-                if space.carrier.__class__.__name__ == "Branched":
+                if isinstance(space.carrier, Branched):
                     glues = []
                 try:
                     reg.add(space, metric)

@@ -20,11 +20,6 @@ DYADIC_DENOM = 2**DYADIC_DEPTH_CAP
 
 
 @dataclass(frozen=True)
-class AtomSet:
-    atoms: tuple  # of frozensets partitioning the universe
-
-
-@dataclass(frozen=True)
 class SetField:
     universe: tuple
     generators: tuple  # of frozensets
@@ -80,10 +75,6 @@ def generate_field(universe, generators) -> SetField:
     if len(generators) > MAX_GENERATORS:
         raise ValueError(f"at most {MAX_GENERATORS} generators, got {len(generators)}")
     return _signature_field(universe, generators)
-
-
-def atoms(field: SetField) -> AtomSet:
-    return AtomSet(field.atoms)
 
 
 def field_join(a: SetField, b: SetField) -> SetField:

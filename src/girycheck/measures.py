@@ -162,6 +162,8 @@ def mix_meta(weights, metas) -> MetaMeasure:
     """Mixture of meta-measures (the outer flattening of a depth-3 tower)."""
     ws = [_as_fraction(w) for w in weights]
     Qs = list(metas)
+    if len(ws) != len(Qs):
+        raise ValueError("weights and meta-measures differ in length")
     pairs = []
     for w, Q in zip(ws, Qs):
         for P, q in Q.atoms:

@@ -35,7 +35,7 @@ from .spaces import (
     combine2,
     scan,
 )
-from .verdicts import PASS, SAMPLED_PASS, Verdict, failed, passed
+from .verdicts import FAIL, PASS, SAMPLED_PASS, Verdict, failed, passed
 
 # exhaustive compat scans are capped at this many inequality evaluations
 EXHAUSTIVE_CAP = 300_000
@@ -96,7 +96,7 @@ def order_metric(space: ConvexSpaceSpec) -> ExtMetric:
         raise ValueError("order metric needs a finite label carrier")
 
     def d(x, y):
-        return ExtValue(abs(carrier._index(x.payload) - carrier._index(y.payload)))
+        return ExtValue(abs(carrier._rank[x.payload] - carrier._rank[y.payload]))
 
     return ExtMetric(space.id, "order", d)
 
@@ -242,13 +242,16 @@ def equiv_check(
 
 
 def equiv_verdict(two: Verdict, four: Verdict) -> Verdict:
-    """The two-point and four-point conditions must render the same verdict."""
+    """The two-point and four-point conditions must render the same verdict.
+
+    Only an exhaustive pass against a failure is a disagreement: a sampled
+    pass is absence of evidence, so against a failure it stays sampled.
+    Agreement on a failure is definitive: both scans produced witnesses."""
+    statuses = (two.status, four.status)
     witness = {"two_point": two.status, "four_point": four.status}
-    if two.ok != four.ok:
+    if PASS in statuses and FAIL in statuses:
         return failed(witness, note="one-sided compatibility failure")
-    # agreement on a failure is definitive: both scans produced witnesses
-    sampled = two.ok and (two.status != PASS or four.status != PASS)
-    return Verdict(SAMPLED_PASS if sampled else PASS, witness=witness)
+    return Verdict(SAMPLED_PASS if SAMPLED_PASS in statuses else PASS, witness=witness)
 
 
 # ---------------------------------------------------------------------------

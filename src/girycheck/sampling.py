@@ -23,10 +23,6 @@ def random_weights(rng: random.Random, n: int, denom: int = 24):
     return [Fraction(bounds[i + 1] - bounds[i], denom) for i in range(n)]
 
 
-def random_element(rng: random.Random, space: ConvexSpaceSpec):
-    return space.sample_element(rng)
-
-
 def random_measure(
     rng: random.Random, space: ConvexSpaceSpec, max_atoms: int = 4
 ) -> FinMeasure:

@@ -332,15 +332,15 @@ class FiniteDiscrete:
     is_finite = True
 
     def __post_init__(self):
-        if len(set(self.labels)) != len(self.labels):
+        rank = {lab: k for k, lab in enumerate(self.labels)}
+        if len(rank) != len(self.labels):
             raise ValueError("duplicate labels")
         if self.rule not in ("min", "max", "collapse"):
             raise ValueError(f"unknown rule {self.rule!r}")
         if self.rule == "collapse" and self.center not in self.labels:
             raise ValueError("collapse rule needs a center label")
-
-    def _index(self, p):
-        return self.labels.index(p)
+        # each label's position in declaration order
+        object.__setattr__(self, "_rank", rank)
 
     def normalize(self, p):
         if p in self.labels:
@@ -351,17 +351,11 @@ class FiniteDiscrete:
         return p in self.labels
 
     def combine(self, ws, ps):
-        distinct = []
-        for p in ps:
-            if p not in distinct:
-                distinct.append(p)
-        if len(distinct) == 1:
-            return distinct[0]
-        if self.rule == "min":
-            return min(distinct, key=self._index)
-        if self.rule == "max":
-            return max(distinct, key=self._index)
-        return self.center
+        if self.rule == "collapse":
+            first = ps[0]
+            return first if all(p == first for p in ps) else self.center
+        pick = min if self.rule == "min" else max
+        return pick(ps, key=self._rank.__getitem__)
 
     def sample(self, rng):
         return rng.choice(self.labels)
@@ -537,17 +531,11 @@ class Branched:
         return comp.carrier.contains(inner)
 
     def combine(self, ws, ps):
-        labels = []
-        for b, _ in ps:
-            if b not in labels:
-                labels.append(b)
-        if len(labels) == 1:
-            win = labels[0]
-        else:
-            win = self.branch_space.carrier.combine(ws, tuple(b for b, _ in ps))
+        win = self.branch_space.carrier.combine(ws, [b for b, _ in ps])
         comp = self._component(win)
         moved = tuple(
-            x if b == win else self._transition_target(b, win) for b, x in ps
+            x if b == win else comp.carrier.normalize(self._transition_target(b, win))
+            for b, x in ps
         )
         return self.normalize((win, comp.carrier.combine(ws, moved)))
 
@@ -694,8 +682,6 @@ def combine(space: ConvexSpaceSpec, weights, elements) -> Element:
     if sum(ws) != 1:
         raise ValueError(f"weights sum to {sum(ws)}, not 1")
     kept = [(w, e) for w, e in zip(ws, xs) if w > 0]
-    if not kept:
-        raise ValueError("all weights zero")
     if len(kept) == 1:
         return kept[0][1]
     ws2 = tuple(w for w, _ in kept)
@@ -705,7 +691,7 @@ def combine(space: ConvexSpaceSpec, weights, elements) -> Element:
 
 def combine2(space: ConvexSpaceSpec, p, x: Element, y: Element) -> Element:
     """Binary combination p*x + (1-p)*y."""
-    p = Fraction(p)
+    p = _as_fraction(p)
     return combine(space, (p, 1 - p), (x, y))
 
 

@@ -7,7 +7,6 @@ import pytest
 from girycheck.fields import (
     SetField,
     agreement_check,
-    atoms,
     dyadic_field,
     dyadic_grid,
     ev_block,

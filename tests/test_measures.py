@@ -31,6 +31,7 @@ from girycheck.spaces import (
     builtin_spaces,
     char_map,
     combine,
+    combine2,
     enumerate_ideals,
     ext_element,
     payload_sort_key,
@@ -96,6 +97,7 @@ def test_float_weights_are_refused_by_every_mixture(ws):
     Q = MetaMeasure.from_pairs(UNIT.id, [(P, F(1))])
     mixtures = (
         lambda: combine(UNIT, ws, (x, y)),
+        lambda: combine2(UNIT, ws[0], x, y),
         lambda: WeightVector(ws),
         lambda: convex_combine_measures(ws, (P, R)),
         lambda: mix_meta(ws, (Q, Q)),
@@ -339,6 +341,15 @@ def test_mix_meta_requires_matching_space():
     Q2 = dirac_meta(dirac(CHAIN.element("a")))
     with pytest.raises(ValueError):
         mix_meta((F(1, 2), F(1, 2)), (Q1, Q2))
+
+
+def test_mix_meta_refuses_a_length_mismatch():
+    Q1 = dirac_meta(unit_measure((0, 1)))
+    Q2 = dirac_meta(unit_measure((1, 1)))
+    with pytest.raises(ValueError, match="differ in length"):
+        mix_meta([1], (Q1, Q2))
+    with pytest.raises(ValueError, match="differ in length"):
+        mix_meta((F(1, 2), F(1, 2)), (Q1,))
 
 
 # ---------------------------------------------------------------------------
