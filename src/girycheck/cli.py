@@ -25,11 +25,9 @@ from .algebra import (
     counterexample_C,
     full_report,
 )
-from .extvalue import ExtValue
 from .fields import agreement_check, dyadic_field, field_leq, generate_field
-from .measures import FinMeasure, dirac, expectation_functional, parse_measure, to_text
+from .measures import FinMeasure, expectation_functional, parse_measure, to_text
 from .metric_ot import (
-    ExtMetric,
     brute_force_wasserstein,
     compat_check_2pt,
     compat_check_4pt,
@@ -51,6 +49,7 @@ from .spaces import (
     ExtendedLine,
     Gluing,
     SpaceKind,
+    as_ext,
     box_space,
     interval_space,
     labels_space,
@@ -109,8 +108,6 @@ def _build_space(space_id, kind, carrier, args, rule, reg, glues, line):
             hi = None if hi == "-" else Fraction(hi)
             return ConvexSpaceSpec(space_id, SpaceKind.MIXED, ExtendedLine(lo, hi))
         if carrier == "labels":
-            if not args:
-                raise ValueError("labels carrier needs at least one label")
             rule = rule or "min"
             center = None
             if rule.startswith("collapse"):
@@ -137,7 +134,7 @@ def _build_space(space_id, kind, carrier, args, rule, reg, glues, line):
             return semidirect_space(branch, comps, glues, space_id)
     except SpaceFileError:
         raise
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise SpaceFileError(line, str(exc)) from exc
     raise SpaceFileError(line, f"unknown carrier {carrier!r}")
 
@@ -183,7 +180,10 @@ def _parse_glue_line(tokens, line) -> Gluing:
         label, sep, pt = tok.partition("@")
         if not sep:
             raise SpaceFileError(line, f"glue endpoint {tok!r} must be <branch>@<point>")
-        return label, Fraction(pt)
+        try:
+            return label, Fraction(pt)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise SpaceFileError(line, f"glue endpoint {tok!r}: {exc}") from exc
 
     src, ident = half(tokens[0])
     dst, target = half(tokens[2])
@@ -268,13 +268,14 @@ def _plan_rows(space, result) -> list:
 def _transport_section(space, metric, P, Q, brute=False) -> dict:
     solve = brute_force_wasserstein if brute else wasserstein
     res = solve(P, Q, metric)
+    marginals_ok = res.plan.marginals_ok()
     out = {
         "space": space.id,
         "method": res.method,
         "cost": str(res.cost),
         "plan": _plan_rows(space, res),
-        "marginals_ok": res.plan.marginals_ok(),
-        "ok": res.plan.marginals_ok(),
+        "marginals_ok": marginals_ok,
+        "ok": marginals_ok,
     }
     if not brute and len(P.atoms) <= 4 and len(Q.atoms) <= 4:
         cross = brute_force_wasserstein(P, Q, metric)
@@ -294,8 +295,6 @@ def _expect_section(space, metric, P, seed) -> dict:
         return out
     point = alg(P)
     out["algebra"] = space.point_str(point)
-    from .spaces import as_ext
-
     out["ok"] = all(
         as_ext(m(point)) == expectation_functional(P, m) for m in maps
     )
@@ -368,8 +367,6 @@ def _report_all(reg, seed, budget) -> dict:
         if wasserstein(A, B, metric).cost == brute_force_wasserstein(A, B, metric).cost:
             agree += 1
     report = {
-        "schema": 1,
-        "seed": seed,
         "budget": budget,
         "laws": {
             sid: _laws_section(reg.space(sid), reg.metric(sid), seed, budget)
@@ -512,6 +509,11 @@ def _read_measure(path, space) -> FinMeasure:
 def run(args) -> tuple:
     """Execute a parsed command; returns (report dict, ok flag)."""
     reg = parse_space_file(args.spaces) if args.spaces else builtin_registry()
+    body, ok = _command_body(args, reg)
+    return {"schema": 1, "seed": args.seed, "command": args.command, **body}, ok
+
+
+def _command_body(args, reg) -> tuple:
     seed, budget = args.seed, args.budget
     if args.command == "check-compat":
         spaces = _selected_spaces(reg, args.space)
@@ -522,42 +524,31 @@ def run(args) -> tuple:
         ok = all(
             sections[s.id]["ok"] or s.expect_reject for s in spaces
         ) and all(sec["equiv_ok"] for sec in sections.values())
-        doc = {"schema": 1, "seed": seed, "command": "check-compat", "spaces": sections}
-        return doc, ok
+        return {"spaces": sections}, ok
     if args.command == "check-laws":
         sections = {
             s.id: _laws_section(s, reg.metric(s.id), seed, budget)
             for s in _selected_spaces(reg, args.space)
         }
-        doc = {"schema": 1, "seed": seed, "command": "check-laws", "spaces": sections}
-        return doc, all(sec["ok"] for sec in sections.values())
+        return {"spaces": sections}, all(sec["ok"] for sec in sections.values())
     if args.command == "wasserstein":
         space = reg.space(args.space)
-        metric = reg.metric(args.space)
         P = _read_measure(args.measure_p, space)
         Q = _read_measure(args.measure_q, space)
-        doc = _transport_section(space, metric, P, Q, brute=args.brute)
-        doc = {"schema": 1, "seed": seed, "command": "wasserstein", **doc}
-        return doc, doc["ok"]
-    if args.command == "expect":
+        body = _transport_section(space, reg.metric(args.space), P, Q, brute=args.brute)
+    elif args.command == "expect":
         space = reg.space(args.space)
         P = _read_measure(args.measure_p, space)
-        doc = _expect_section(space, reg.metric(args.space), P, seed)
-        doc = {"schema": 1, "seed": seed, "command": "expect", **doc}
-        return doc, doc["ok"]
-    if args.command == "counterexample":
-        doc = _counterexample_section(reg)
-        doc = {"schema": 1, "seed": seed, "command": "counterexample", **doc}
-        return doc, doc["ok"]
-    if args.command == "fields-demo":
-        doc = _fields_section()
-        doc = {"schema": 1, "seed": seed, "command": "fields-demo", **doc}
-        return doc, doc["ok"]
-    if args.command == "report-all":
-        doc = _report_all(reg, seed, budget)
-        doc["command"] = "report-all"
-        return doc, doc["ok"]
-    raise ValueError(f"unhandled command {args.command!r}")
+        body = _expect_section(space, reg.metric(args.space), P, seed)
+    elif args.command == "counterexample":
+        body = _counterexample_section(reg)
+    elif args.command == "fields-demo":
+        body = _fields_section()
+    elif args.command == "report-all":
+        body = _report_all(reg, seed, budget)
+    else:
+        raise ValueError(f"unhandled command {args.command!r}")
+    return body, body["ok"]
 
 
 def main(argv=None) -> int:

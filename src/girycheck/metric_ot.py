@@ -1,12 +1,13 @@
 """Extended metrics, metric-convexity compatibility checks, and exact
 Wasserstein-1 transport on finitely supported measures.
 
-Costs are kept as pairs (infinite units, finite part) of exact rationals so
-the transport solvers can compare plans lexicographically: first minimize
-mass routed across infinite-distance pairs, then the finite cost.  The
-network simplex folds each pair into one int with the same order.  A plan
-that cannot avoid infinite pairs has distance inf, and the independent
-coupling is reported as the canonical plan in that case.
+Each transport instance is scaled to ints once, in `_setup`: masses over
+their common denominator, and per cell a 0/1 count of infinite units plus
+the finite distance over the costs' common denominator.  Both solvers
+compare plans lexicographically on (mass routed over infinite distance,
+finite cost), and `_finish` alone turns the result back into exact
+rationals.  A plan that cannot avoid infinite pairs has distance inf, and
+the independent coupling is reported as the canonical plan in that case.
 """
 
 from __future__ import annotations
@@ -301,53 +302,56 @@ def coupling_from_plan(P: FinMeasure, Q: FinMeasure, plan: dict) -> Coupling:
     return Coupling(FinMeasure.from_pairs(pair_id, pairs), P, Q)
 
 
-# cost pairs: (mass routed over infinite distance, finite cost)
-ZERO_COST = (Fraction(0), Fraction(0))
-
-
-def _cost_pair(metric, x, y):
-    v = metric(x, y)
-    return (Fraction(1), Fraction(0)) if v.is_inf else (Fraction(0), v.value)
-
-
-def _cadd(a, b):
-    return (a[0] + b[0], a[1] + b[1])
-
-
-def _cscale(t, a):
-    return (t * a[0], t * a[1])
-
-
-def _plan_cost(plan, costs):
-    total = ZERO_COST
+def _plan_cost(plan, units, finite):
+    """(mass over infinite distance, finite cost) of an int plan, to compare
+    lexicographically."""
+    inf_mass = cost = 0
     for (i, j), w in plan.items():
-        total = _cadd(total, _cscale(w, costs[i][j]))
-    return total
+        inf_mass += w * units[i][j]
+        cost += w * finite[i][j]
+    return inf_mass, cost
 
 
 def _setup(P: FinMeasure, Q: FinMeasure, metric: ExtMetric):
+    """The instance scaled once to ints, calling the metric once per pair.
+
+    Supplies and demands go over their common denominator mass_den.  A pair
+    at infinite distance has units 1 and finite 0; any other pair has units
+    0 and its distance over the common denominator cost_den as finite.
+    """
     if P.space_id != Q.space_id:
         raise ValueError(f"measures on {P.space_id} and {Q.space_id}")
     if metric.space_id != P.space_id:
         raise ValueError(f"metric on {metric.space_id}, measures on {P.space_id}")
-    xs = [e for e, _ in P.atoms]
     ys = [e for e, _ in Q.atoms]
-    supplies = [w for _, w in P.atoms]
-    demands = [w for _, w in Q.atoms]
-    costs = [[_cost_pair(metric, x, y) for y in ys] for x in xs]
-    return supplies, demands, costs
+    dists = [[metric(x, y) for y in ys] for x, _ in P.atoms]
+    units = [[int(d.is_inf) for d in row] for row in dists]
+    cost_den = lcm(*(d.value.denominator for row in dists for d in row if not d.is_inf))
+    finite = [[0 if d.is_inf else _scale(d.value, cost_den) for d in row] for row in dists]
+    mass_den = lcm(*(w.denominator for _, w in P.atoms + Q.atoms))
+    supplies, demands = ([_scale(w, mass_den) for _, w in M.atoms] for M in (P, Q))
+    return supplies, demands, units, finite, mass_den, cost_den
 
 
-def _finish(P, Q, supplies, demands, costs, plan, total, method) -> TransportResult:
-    if total[0] > 0:
+def _scale(q, den):
+    return q.numerator * (den // q.denominator)
+
+
+def _finish(P, Q, instance, plan, method) -> TransportResult:
+    """Turn an int plan back into Fractions: the one place that does."""
+    supplies, demands, units, finite, mass_den, cost_den = instance
+    inf_mass, cost = _plan_cost(plan, units, finite)
+    if inf_mass:
         # no finite-cost plan exists; report inf with the independent coupling
-        plan = {
-            (i, j): s * d
+        joint = {
+            (i, j): Fraction(s * d, mass_den * mass_den)
             for i, s in enumerate(supplies)
             for j, d in enumerate(demands)
         }
-        return TransportResult(INF, coupling_from_plan(P, Q, plan), method)
-    return TransportResult(ExtValue(total[1]), coupling_from_plan(P, Q, plan), method)
+        return TransportResult(INF, coupling_from_plan(P, Q, joint), method)
+    joint = {cell: Fraction(w, mass_den) for cell, w in plan.items()}
+    cost = ExtValue(Fraction(cost, mass_den * cost_den))
+    return TransportResult(cost, coupling_from_plan(P, Q, joint), method)
 
 
 # ---------------------------------------------------------------------------
@@ -357,52 +361,33 @@ def _finish(P, Q, supplies, demands, costs, plan, total, method) -> TransportRes
 def wasserstein(P: FinMeasure, Q: FinMeasure, metric: ExtMetric) -> TransportResult:
     if len(P.atoms) > 64 or len(Q.atoms) > 64:
         raise ValueError("supports above 64 atoms are out of scope")
-    supplies, demands, costs = _setup(P, Q, metric)
-    plan, total = _network_simplex(costs, supplies, demands)
-    return _finish(P, Q, supplies, demands, costs, plan, total, "lp")
+    instance = _setup(P, Q, metric)
+    return _finish(P, Q, instance, _network_simplex(*instance[:4]), "lp")
 
 
-def _integer_instance(costs, supplies, demands):
-    """The instance scaled once to ints, with mass_den to scale plans back.
+def _network_simplex(supplies, demands, units, finite):
+    """Optimal int plan {(i, j): mass}.
 
-    Masses go over their common denominator mass_den.  Each cost pair
-    (inf units, finite) folds to the int units * big + finite * cost_den,
-    where big = 2(n+m) * max|finite int| + 1.  The finite part of a reduced
-    cost is a signed sum of at most 2(n+m) - 1 arc costs, so it stays below
-    big in absolute value: an int is negative exactly when its pair is
-    lexicographically negative, and the pivot rule enters the same cells.
+    Pricing folds each cell's cost to units * big + finite, where
+    big = 2(n+m) * max|finite| + 1.  The finite part of a reduced cost is a
+    signed sum of at most 2(n+m) - 1 arc costs, so it stays below big in
+    absolute value: a folded reduced cost is negative exactly when its
+    (units, finite) pair is lexicographically negative.
     """
-
-    def scale(q, den):
-        return q.numerator * (den // q.denominator)
-
-    mass_den = lcm(*(w.denominator for w in supplies + demands))
-    cost_den = lcm(*(c[1].denominator for row in costs for c in row))
-    fin = [[scale(c[1], cost_den) for c in row] for row in costs]
-    big = 2 * (len(supplies) + len(demands)) * max(abs(f) for row in fin for f in row) + 1
-    icosts = [
-        [units.numerator * big + f for (units, _), f in zip(row, frow)]
-        for row, frow in zip(costs, fin)
-    ]
-    supplies, demands = ([scale(w, mass_den) for w in ws] for ws in (supplies, demands))
-    return icosts, supplies, demands, mass_den
-
-
-def _network_simplex(costs, supplies, demands):
-    icosts, supplies, demands, mass_den = _integer_instance(costs, supplies, demands)
     n, m = len(supplies), len(demands)
+    big = 2 * (n + m) * max(abs(f) for row in finite for f in row) + 1
+    costs = [[u * big + f for u, f in zip(urow, frow)] for urow, frow in zip(units, finite)]
     basis = _northwest(supplies, demands)
     while True:
-        u, v = _potentials(basis, icosts, n, m)
+        u, v = _potentials(basis, costs, n, m)
         # basic cells price to exactly 0, so only nonbasic cells can enter
         entering = next(
-            ((i, j) for i in range(n) for j in range(m) if icosts[i][j] - u[i] - v[j] < 0), None
+            ((i, j) for i in range(n) for j in range(m) if costs[i][j] - u[i] - v[j] < 0), None
         )
         if entering is None:
             break
         _pivot(basis, entering, m)
-    plan = {(i, j): Fraction(w, mass_den) for i, j, w in basis if w > 0}
-    return plan, _plan_cost(plan, costs)
+    return {(i, j): w for i, j, w in basis if w > 0}
 
 
 def _northwest(supplies, demands):
@@ -506,16 +491,17 @@ def brute_force_wasserstein(P: FinMeasure, Q: FinMeasure, metric: ExtMetric) -> 
     n, m = len(P.atoms), len(Q.atoms)
     if n > 4 or m > 4:
         raise ValueError("brute-force solver is limited to supports of size 4")
-    supplies, demands, costs = _setup(P, Q, metric)
+    instance = _setup(P, Q, metric)
+    supplies, demands, units, finite = instance[:4]
     best = best_plan = None
     for cells in _tree_cell_sets(n, m):
         plan = _leaf_solve(cells, supplies, demands)
         if plan is None:
             continue
-        total = _plan_cost(plan, costs)
+        total = _plan_cost(plan, units, finite)
         if best is None or total < best:
             best, best_plan = total, plan
-    return _finish(P, Q, supplies, demands, costs, best_plan, best, "brute")
+    return _finish(P, Q, instance, best_plan, "brute")
 
 
 @lru_cache(maxsize=None)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional
 
 from .extvalue import INF, ExtValue, parse_ext
 from .verdicts import Verdict, failed, passed
@@ -121,6 +121,11 @@ def payload_sort_key(p):
 # carriers
 
 
+def _refuse_empty_range(lo, hi):
+    if lo is not None and hi is not None and lo > hi:
+        raise ValueError(f"empty carrier: lo {lo} > hi {hi}")
+
+
 @dataclass(frozen=True)
 class Interval:
     """[lo, hi] with the standard rational barycenter."""
@@ -129,6 +134,9 @@ class Interval:
     hi: Fraction
 
     is_finite = False
+
+    def __post_init__(self):
+        _refuse_empty_range(self.lo, self.hi)
 
     def normalize(self, p):
         return Fraction(p)
@@ -162,6 +170,10 @@ class Box:
     bounds: tuple  # ((lo, hi), ...)
 
     is_finite = False
+
+    def __post_init__(self):
+        for lo, hi in self.bounds:
+            _refuse_empty_range(lo, hi)
 
     def normalize(self, p):
         if not isinstance(p, tuple) or len(p) != len(self.bounds):
@@ -209,6 +221,10 @@ class Simplex:
     n: int
 
     is_finite = False
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"empty carrier: simplex of {self.n} coordinates")
 
     def normalize(self, p):
         if not isinstance(p, tuple) or len(p) != self.n:
@@ -264,6 +280,9 @@ class ExtendedLine:
     hi: Optional[Fraction]
 
     is_finite = False
+
+    def __post_init__(self):
+        _refuse_empty_range(self.lo, self.hi)
 
     def normalize(self, p):
         if isinstance(p, ExtValue):
@@ -332,6 +351,8 @@ class FiniteDiscrete:
     is_finite = True
 
     def __post_init__(self):
+        if not self.labels:
+            raise ValueError("empty carrier: no labels")
         rank = {lab: k for k, lab in enumerate(self.labels)}
         if len(rank) != len(self.labels):
             raise ValueError("duplicate labels")

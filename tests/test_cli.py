@@ -71,6 +71,14 @@ def test_parse_errors_carry_line_numbers(tmp_path):
         ("space unit_interval kind=geometric carrier=interval 0 1", "duplicate"),
         ("space X kind=mixed carrier=semidirect two 0:unit_interval 1:unit_interval", "glue"),
         ("space X kind=discrete carrier=labels a b rule=collapse", "center"),
+        ("space X kind=geometric carrier=interval 1 0", "empty carrier"),
+        ("space X kind=geometric carrier=box 1 0", "empty carrier"),
+        ("space X kind=geometric carrier=simplex 0", "empty carrier"),
+        ("space X kind=mixed carrier=extline 1 0", "empty carrier"),
+        ("space X kind=discrete carrier=naturals 0", "empty carrier"),
+        ("space X kind=discrete carrier=naturals -3", "empty carrier"),
+        ("space X kind=discrete carrier=labels", "empty carrier"),
+        ("glue A@x -> B@0", "glue endpoint 'A@x'"),
     ]
     for k, (line, fragment) in enumerate(cases):
         path = write_spaces(tmp_path, "\n" * k + line + "\n")
@@ -78,6 +86,17 @@ def test_parse_errors_carry_line_numbers(tmp_path):
             parse_space_file(path)
         assert exc.value.line == k + 1, line
         assert fragment in str(exc.value), line
+
+
+def test_zero_denominators_are_parse_errors(tmp_path):
+    for line in (
+        "space X kind=geometric carrier=interval 1/0 1",
+        "glue A@1/0 -> B@0",
+    ):
+        path = write_spaces(tmp_path, "\n" + line + "\n")
+        with pytest.raises(SpaceFileError) as exc:
+            parse_space_file(path)
+        assert exc.value.line == 2, line
 
 
 def test_expect_reject_flag(tmp_path):

@@ -32,7 +32,7 @@ from girycheck.sampling import (
     random_finite_discrete_space,
     random_measure,
 )
-from girycheck.spaces import builtin_spaces
+from girycheck.spaces import Element, builtin_spaces, product_space
 
 REG = builtin_spaces()
 UNIT = REG["unit_interval"]
@@ -295,6 +295,62 @@ def test_infinite_units_outweigh_the_largest_finite_cost():
     res = wasserstein(P, Q, metric)
     assert res.cost == ExtValue(4)
     assert brute_force_wasserstein(P, Q, metric).cost == res.cost
+
+
+def _check_both_solvers(P, Q, metric, cost):
+    for solver in (wasserstein, brute_force_wasserstein):
+        res = solver(P, Q, metric)
+        assert res.cost == cost, solver.__name__
+        assert res.plan.marginals_ok()
+        assert res.plan.cost(metric) == cost
+        if cost.is_inf:
+            # independent coupling: joint mass is the product of marginals
+            joint = res.plan.joint
+            assert len(joint.atoms) == len(P.atoms) * len(Q.atoms)
+            for e, w in joint.atoms:
+                x, y = (Element(P.space_id, p) for p in e.payload)
+                assert w == P.mass(x) * Q.mass(y)
+
+
+def test_every_pair_at_infinite_distance():
+    # no cell has a finite cost, so the finite costs are all 0 over cost_den 1
+    rinf = REG["rinf-grid"]
+    metric = extended_abs_metric(rinf)
+    P = dirac(rinf.element(INF))
+    _check_both_solvers(P, dirac(rinf.element(F(0))), metric, INF)
+    Q = FinMeasure.from_pairs(
+        rinf.id, [(rinf.element(F(-1)), F(1, 3)), (rinf.element(F(2)), F(2, 3))]
+    )
+    _check_both_solvers(Q, P, metric, INF)
+    # 2x2 needs two coordinates: one infinite coordinate per side, crossed
+    plane = product_space(rinf, rinf, "rinf-plane")
+    metric = product_sum_metric(plane)
+    P = FinMeasure.from_pairs(
+        plane.id,
+        [(plane.element((INF, F(0))), F(1, 4)), (plane.element((INF, F(1))), F(3, 4))],
+    )
+    Q = FinMeasure.from_pairs(
+        plane.id,
+        [(plane.element((F(0), INF)), F(2, 5)), (plane.element((F(-3), INF)), F(3, 5))],
+    )
+    _check_both_solvers(P, Q, metric, INF)
+
+
+def test_equal_measures_and_single_atoms():
+    box = REG["box2"]
+    metric = l1_metric(box)
+    x = box.element((F(1, 3), F(1, 2)))
+    # one cell of cost 0: every finite cost is 0
+    _check_both_solvers(dirac(x), dirac(x), metric, ZERO)
+    _check_both_solvers(dirac(x), dirac(box.element((1, 0))), metric, ExtValue(F(7, 6)))
+    P = FinMeasure.from_pairs(
+        box.id,
+        [(x, F(1, 6)), (box.element((0, 1)), F(1, 2)), (box.element((1, 1)), F(1, 3))],
+    )
+    _check_both_solvers(P, P, metric, ZERO)
+    rinf = REG["rinf-grid"]
+    inf = dirac(rinf.element(INF))
+    _check_both_solvers(inf, inf, extended_abs_metric(rinf), ZERO)
 
 
 def test_marginals_are_exactly_the_inputs():

@@ -23,6 +23,33 @@ def test_runtime_imports_only_the_standard_library():
                 assert top in sys.stdlib_module_names, f"{path.name}:{node.lineno} imports {module}"
 
 
+def test_every_imported_name_is_read():
+    """__init__.py re-exports its imports, so it is left out."""
+    sources = sorted((ROOT / "src" / "girycheck").glob("*.py"))
+    assert sources
+    unused = []
+    for path in sources:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in read]
+    assert not unused
+
+
 def test_package_declares_no_runtime_dependencies():
     lines = (ROOT / "pyproject.toml").read_text().splitlines()
     assert "dependencies = []" in lines
