@@ -346,8 +346,6 @@ def induced_structure_check(h: AlgebraMap, budget: int = 200, rng=None) -> Verdi
         k = rng.randint(1, 4)
         xs = [space.sample_element(rng) for _ in range(k)]
         ws = random_weights(rng, k)
-        if sum(w > 0 for w in ws) == 0:
-            continue
         native = combine(space, ws, xs)
         via_h = h(FinMeasure.from_pairs(space.id, zip(xs, ws)))
         if native != via_h:

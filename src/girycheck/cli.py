@@ -447,10 +447,19 @@ def _emit(doc, fmt, out_path, started):
 # entry point
 
 
+def _budget(text) -> int:
+    budget = int(text)
+    if budget < 1:
+        raise argparse.ArgumentTypeError(f"budget must be at least 1, got {budget}")
+    return budget
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=2026, help="RNG seed echoed in reports")
-    common.add_argument("--budget", type=int, default=300, help="sampling budget per check")
+    common.add_argument(
+        "--budget", type=_budget, default=300, help="sampling budget per check, at least 1"
+    )
     common.add_argument("--format", choices=("text", "json"), default="text")
     common.add_argument("--spaces", metavar="FILE", help="space definition file to load")
     common.add_argument("--out", metavar="FILE", help="write the report here instead of stdout")
@@ -557,13 +566,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         doc, ok = run(args)
+        _emit(doc, args.format, args.out, started)
     except SpaceFileError as exc:
         print(f"girycheck: space file error: {exc}", file=sys.stderr)
         return 2
     except (OSError, ValueError) as exc:
         print(f"girycheck: {exc}", file=sys.stderr)
         return 2
-    _emit(doc, args.format, args.out, started)
     return 0 if ok else 1
 
 

@@ -230,5 +230,8 @@ def parse_measure(text: str, space: ConvexSpaceSpec) -> FinMeasure:
             raise ValueError(f"atom {chunk!r} lacks a :weight part")
         if "/" not in weight_str:
             raise ValueError(f"weight {weight_str!r} must be <num>/<den>")
-        pairs.append((space.parse_element(point_str.strip()), Fraction(weight_str)))
+        try:
+            pairs.append((space.parse_element(point_str.strip()), Fraction(weight_str)))
+        except ZeroDivisionError:
+            raise ValueError(f"atom {chunk!r} has a zero denominator") from None
     return FinMeasure.from_pairs(space.id, pairs)

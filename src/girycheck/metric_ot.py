@@ -8,12 +8,16 @@ compare plans lexicographically on (mass routed over infinite distance,
 finite cost), and `_finish` alone turns the result back into exact
 rationals.  A plan that cannot avoid infinite pairs has distance inf, and
 the independent coupling is reported as the canonical plan in that case.
+
+Each simplex pivot walks its basis tree once: one BFS from row 0 gives the
+potentials and the parent links, and the entering cycle is read off the
+parent links.
 """
 
 from __future__ import annotations
 
 import random
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -290,18 +294,6 @@ class TransportResult:
     method: str  # "lp" or "brute"
 
 
-def coupling_from_plan(P: FinMeasure, Q: FinMeasure, plan: dict) -> Coupling:
-    xs = [e for e, _ in P.atoms]
-    ys = [e for e, _ in Q.atoms]
-    pair_id = f"({P.space_id}x{Q.space_id})"
-    pairs = [
-        (Element(pair_id, (xs[i].payload, ys[j].payload)), w)
-        for (i, j), w in sorted(plan.items())
-        if w > 0
-    ]
-    return Coupling(FinMeasure.from_pairs(pair_id, pairs), P, Q)
-
-
 def _plan_cost(plan, units, finite):
     """(mass over infinite distance, finite cost) of an int plan, to compare
     lexicographically."""
@@ -343,15 +335,19 @@ def _finish(P, Q, instance, plan, method) -> TransportResult:
     inf_mass, cost = _plan_cost(plan, units, finite)
     if inf_mass:
         # no finite-cost plan exists; report inf with the independent coupling
-        joint = {
-            (i, j): Fraction(s * d, mass_den * mass_den)
-            for i, s in enumerate(supplies)
-            for j, d in enumerate(demands)
-        }
-        return TransportResult(INF, coupling_from_plan(P, Q, joint), method)
-    joint = {cell: Fraction(w, mass_den) for cell, w in plan.items()}
-    cost = ExtValue(Fraction(cost, mass_den * cost_den))
-    return TransportResult(cost, coupling_from_plan(P, Q, joint), method)
+        plan = {(i, j): s * d for i, s in enumerate(supplies) for j, d in enumerate(demands)}
+        den, cost = mass_den * mass_den, INF
+    else:
+        den, cost = mass_den, ExtValue(Fraction(cost, mass_den * cost_den))
+    xs = [e.payload for e, _ in P.atoms]
+    ys = [e.payload for e, _ in Q.atoms]
+    pair_id = f"({P.space_id}x{Q.space_id})"
+    pairs = [
+        (Element(pair_id, (xs[i], ys[j])), Fraction(w, den))
+        for (i, j), w in sorted(plan.items())
+        if w > 0
+    ]
+    return TransportResult(cost, Coupling(FinMeasure.from_pairs(pair_id, pairs), P, Q), method)
 
 
 # ---------------------------------------------------------------------------
@@ -379,14 +375,16 @@ def _network_simplex(supplies, demands, units, finite):
     costs = [[u * big + f for u, f in zip(urow, frow)] for urow, frow in zip(units, finite)]
     basis = _northwest(supplies, demands)
     while True:
-        u, v = _potentials(basis, costs, n, m)
+        pot, link, depth = _tree_walk(basis, costs, n, m)
+        u, v = pot[:n], pot[n:]
         # basic cells price to exactly 0, so only nonbasic cells can enter
         entering = next(
             ((i, j) for i in range(n) for j in range(m) if costs[i][j] - u[i] - v[j] < 0), None
         )
         if entering is None:
             break
-        _pivot(basis, entering, m)
+        i0, j0 = entering
+        _pivot(basis, entering, _basis_path(link, depth, i0, n + j0))
     return {(i, j): w for i, j, w in basis if w > 0}
 
 
@@ -409,78 +407,61 @@ def _northwest(supplies, demands):
             j += 1
 
 
-def _potentials(basis, costs, n, m):
-    u = [None] * n
-    v = [None] * m
-    rows, cols = defaultdict(list), defaultdict(list)
-    for i, j, _ in basis:
-        rows[i].append(j)
-        cols[j].append(i)
-    u[0] = 0
-    queue = deque([("r", 0)])
-    while queue:
-        kind, a = queue.popleft()
-        if kind == "r":
-            for j in rows[a]:
-                if v[j] is None:
-                    v[j] = costs[a][j] - u[a]
-                    queue.append(("c", j))
+def _tree_walk(basis, costs, n, m):
+    """One BFS over the basis tree from row 0; rows are nodes 0..n-1 and
+    columns nodes n..n+m-1.
+
+    Returns per node its potential (u_i + v_j = c_ij on basic cells, 0 at
+    row 0), its parent link (parent node, basis index) and its depth.
+    """
+    adj = [[] for _ in range(n + m)]
+    for k, (i, j, _) in enumerate(basis):
+        adj[i].append((n + j, k))
+        adj[n + j].append((i, k))
+    pot, link, depth = [None] * (n + m), [None] * (n + m), [0] * (n + m)
+    pot[0] = 0
+    queue = [0]  # read while it grows: a FIFO queue that ends as the visit order
+    for a in queue:
+        for b, k in adj[a]:
+            if pot[b] is None:
+                i, j, _ = basis[k]
+                pot[b] = costs[i][j] - pot[a]
+                link[b] = (a, k)
+                depth[b] = depth[a] + 1
+                queue.append(b)
+    if len(queue) < n + m:
+        raise RuntimeError("transport basis lost connectivity")
+    return pot, link, depth
+
+
+def _basis_path(link, depth, a, b):
+    """Basis indices along the unique tree path node a -> node b, in order
+    from a: both ends climb their parent links, the deeper end first, until
+    they meet."""
+    head, tail = [], []
+    while a != b:
+        if depth[a] >= depth[b]:
+            a, k = link[a]
+            head.append(k)
         else:
-            for i in cols[a]:
-                if u[i] is None:
-                    u[i] = costs[i][a] - v[a]
-                    queue.append(("r", i))
-    return u, v
+            b, k = link[b]
+            tail.append(k)
+    return head + tail[::-1]
 
 
-def _tree_path(basis, i0, j0):
-    """Basis-cell indices along the unique tree path row i0 -> col j0."""
-    rows, cols = defaultdict(list), defaultdict(list)
-    for idx, (i, j, _) in enumerate(basis):
-        rows[i].append((j, idx))
-        cols[j].append((i, idx))
-    start, goal = ("r", i0), ("c", j0)
-    parents = {start: None}
-    queue = deque([start])
-    while queue:
-        node = queue.popleft()
-        kind, a = node
-        steps = (
-            [(("c", j), idx) for j, idx in rows[a]]
-            if kind == "r"
-            else [(("r", i), idx) for i, idx in cols[a]]
-        )
-        for nxt, idx in steps:
-            if nxt in parents:
-                continue
-            parents[nxt] = (node, idx)
-            if nxt == goal:
-                cells = []
-                cur = nxt
-                while parents[cur] is not None:
-                    cur, idx = parents[cur]
-                    cells.append(idx)
-                cells.reverse()
-                return cells
-            queue.append(nxt)
-    raise RuntimeError("transport basis lost connectivity")
-
-
-def _pivot(basis, entering, m):
-    i0, j0 = entering
-    path = _tree_path(basis, i0, j0)
+def _pivot(basis, entering, path):
+    """Push the most mass the cycle allows around entering + path (the tree
+    path row i0 -> col j0); the first blocking cell in (row, col) order
+    leaves the basis."""
     # entering cell takes +; path cells starting at row i0 alternate -, +, ...
     minus, plus = path[0::2], path[1::2]
     theta = min(basis[k][2] for k in minus)
-    leaving = min(
-        (k for k in minus if basis[k][2] == theta),
-        key=lambda k: basis[k][0] * m + basis[k][1],
-    )
+    leaving = min((k for k in minus if basis[k][2] == theta), key=lambda k: basis[k][:2])
     for k in minus:
         basis[k][2] -= theta
     for k in plus:
         basis[k][2] += theta
-    basis[leaving] = [i0, j0, theta]
+    basis[leaving] = [*entering, theta]
 
 
 # ---------------------------------------------------------------------------

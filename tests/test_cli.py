@@ -187,6 +187,10 @@ def test_usage_errors_exit_two(tmp_path):
     assert "line 1" in res.stderr
     assert run_cli("wasserstein", "--space", "unit_interval",
                    "/no/such/P.msr", "/no/such/Q.msr").returncode == 2
+    assert run_cli("fields-demo", "--out", "/no/such/dir/x.json").returncode == 2
+    for budget in ("0", "-3"):
+        assert run_cli("check-laws", "--space", "unit_interval",
+                       "--budget", budget).returncode == 2
 
 
 def test_wasserstein_command(tmp_path):
@@ -224,6 +228,21 @@ def test_malformed_measure_file_exits_two(tmp_path):
     q.write_text("measure on unit_interval: 1:1/1\n")
     res = run_cli("wasserstein", "--space", "unit_interval", str(p), str(q))
     assert res.returncode == 2
+    # a zero denominator in a weight or a point is a parse error, not a crash
+    for sid, bad, good in (
+        ("unit_interval", "0:1/0, 1:1/2", "1:1/1"),
+        ("unit_interval", "1/0:1/2, 1:1/2", "1:1/1"),
+        ("box2", "(1/0,0):1/2, (1,1):1/2", "(1,1):1/1"),
+    ):
+        p.write_text(f"measure on {sid}: {bad}\n")
+        q.write_text(f"measure on {sid}: {good}\n")
+        for res in (
+            run_cli("expect", "--space", sid, str(p)),
+            run_cli("wasserstein", "--space", sid, str(p), str(q)),
+        ):
+            assert res.returncode == 2
+            assert "Traceback" not in res.stderr
+            assert "zero denominator" in res.stderr
 
 
 def test_out_flag_writes_file(tmp_path):

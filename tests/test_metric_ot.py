@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+from collections import defaultdict, deque
 from fractions import Fraction as F
 from itertools import combinations, product
 
@@ -460,6 +461,114 @@ def test_pivot_path_is_pinned(monkeypatch):
         text = "\n".join(sorted(f"{e.payload[0]} {e.payload[1]} {w}" for e, w in res.plan.joint.atoms))
         seen[name] = (pivots[0], hashlib.sha256(text.encode()).hexdigest())
     assert seen == PINNED_PIVOT_PATHS
+
+
+# ---------------------------------------------------------------------------
+# the one tree walk per pivot, against the two BFS walks it replaced, kept
+# verbatim below as reference oracles
+
+
+def _reference_potentials(basis, costs, n, m):
+    u = [None] * n
+    v = [None] * m
+    rows, cols = defaultdict(list), defaultdict(list)
+    for i, j, _ in basis:
+        rows[i].append(j)
+        cols[j].append(i)
+    u[0] = 0
+    queue = deque([("r", 0)])
+    while queue:
+        kind, a = queue.popleft()
+        if kind == "r":
+            for j in rows[a]:
+                if v[j] is None:
+                    v[j] = costs[a][j] - u[a]
+                    queue.append(("c", j))
+        else:
+            for i in cols[a]:
+                if u[i] is None:
+                    u[i] = costs[i][a] - v[a]
+                    queue.append(("r", i))
+    return u, v
+
+
+def _reference_tree_path(basis, i0, j0):
+    """Basis-cell indices along the unique tree path row i0 -> col j0."""
+    rows, cols = defaultdict(list), defaultdict(list)
+    for idx, (i, j, _) in enumerate(basis):
+        rows[i].append((j, idx))
+        cols[j].append((i, idx))
+    start, goal = ("r", i0), ("c", j0)
+    parents = {start: None}
+    queue = deque([start])
+    while queue:
+        node = queue.popleft()
+        kind, a = node
+        steps = (
+            [(("c", j), idx) for j, idx in rows[a]]
+            if kind == "r"
+            else [(("r", i), idx) for i, idx in cols[a]]
+        )
+        for nxt, idx in steps:
+            if nxt in parents:
+                continue
+            parents[nxt] = (node, idx)
+            if nxt == goal:
+                cells = []
+                cur = nxt
+                while parents[cur] is not None:
+                    cur, idx = parents[cur]
+                    cells.append(idx)
+                cells.reverse()
+                return cells
+            queue.append(nxt)
+    raise RuntimeError("transport basis lost connectivity")
+
+
+@st.composite
+def _spanning_trees(draw):
+    """A random spanning tree of K(n, m) as a simplex basis, its cells in
+    random order, with int costs folded as the simplex folds them: negative
+    finite parts, and cells of infinite units at magnitude big."""
+    n, m = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    cells = draw(st.permutations([(i, j) for i in range(n) for j in range(m)]))
+    parent = list(range(n + m))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    basis = []
+    for i, j in cells:
+        ra, rb = find(i), find(n + j)
+        if ra != rb:
+            parent[ra] = rb
+            basis.append([i, j, 1])
+    units = draw(st.lists(st.integers(0, 1), min_size=n * m, max_size=n * m))
+    finite = draw(st.lists(st.integers(-1000, 1000), min_size=n * m, max_size=n * m))
+    big = 2 * (n + m) * max(abs(f) for f in finite) + 1
+    costs = [[units[i * m + j] * big + finite[i * m + j] for j in range(m)] for i in range(n)]
+    return n, m, basis, costs
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree=_spanning_trees())
+def test_tree_walk_matches_the_two_bfs_walks(tree):
+    n, m, basis, costs = tree
+    pot, link, depth = metric_ot._tree_walk(basis, costs, n, m)
+    assert (pot[:n], pot[n:]) == _reference_potentials(basis, costs, n, m)
+    basic = {(i, j) for i, j, _ in basis}
+    for i, j in product(range(n), range(m)):
+        if (i, j) not in basic:
+            path = metric_ot._basis_path(link, depth, i, n + j)
+            assert path == _reference_tree_path(basis, i, j)
+
+
+def test_tree_walk_refuses_a_disconnected_basis():
+    # two cells of a 2x2 instance leave row 1 and column 1 unreached
+    with pytest.raises(RuntimeError, match="lost connectivity"):
+        metric_ot._tree_walk([[0, 0, 1], [1, 1, 1]], [[0, 1], [1, 0]], 2, 2)
 
 
 # ---------------------------------------------------------------------------
