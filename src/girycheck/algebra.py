@@ -138,14 +138,23 @@ def user_algebra(space: ConvexSpaceSpec, rule, provenance="user-supplied") -> Al
 def build_algebra(space: ConvexSpaceSpec, metric: ExtMetric = None, budget: int = 500, rng=None):
     """The space's own combination rule as an expectation operator, or a
     Rejection with witnesses when that map is not an algebra."""
-    metric = metric if metric is not None else default_metric(space)
     carrier = space.carrier
+
+    def compat():
+        resolved = metric if metric is not None else default_metric(space)
+        if rng is not None:
+            return compat_check_2pt(space, resolved, budget, rng)
+        # keyed by the metric as given, None standing for the default one
+        known = space.rngless_compat
+        if (metric, budget) not in known:
+            known[metric, budget] = compat_check_2pt(space, resolved, budget)
+        return known[metric, budget]
 
     if isinstance(carrier, FiniteDiscrete):
         poset = discrete_poset(space)
         if not poset.is_total:
             reasons = [("poset-not-total", failed(poset.witness))]
-            comp = compat_check_2pt(space, metric, budget, rng)
+            comp = compat()
             if not comp.ok:
                 reasons.append(("compat", comp))
             return Rejection(space.id, tuple(reasons))
@@ -154,7 +163,7 @@ def build_algebra(space: ConvexSpaceSpec, metric: ExtMetric = None, budget: int 
         return AlgebraMap(space, _combination_rule(space), provenance)
 
     if isinstance(carrier, (Interval, Box, Simplex, ExtendedLine)):
-        comp = compat_check_2pt(space, metric, budget, rng)
+        comp = compat()
         if not comp.ok:
             return Rejection(space.id, (("compat", comp),))
         return AlgebraMap(space, _combination_rule(space), "geometric-barycenter", comp)

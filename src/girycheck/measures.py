@@ -5,11 +5,17 @@ Together with dirac / pushforward / mu they realize the finite-support
 probability functor, and all identities tested downstream (unit and
 associativity of flattening, naturality, linearity of expectation) are
 checked with exact Fraction arithmetic.
+
+A measure is built in one pass: weights merge per atom, the total mass is
+checked on integers over the least common denominator, and the atoms are
+put in payload_sort_key order.  Where every payload is a rational, every
+one a str, or every one a tuple of rationals, the payloads themselves
+compare in that order, so the sort compares them directly and builds no
+key per atom; meta-measures sort their inner measures the same way.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,21 +25,58 @@ from .spaces import (
     ConvexSpaceSpec,
     Element,
     _as_fraction,
+    _check_unit_mass,
     _split_top,
     as_ext,
     payload_sort_key,
 )
 
 
-def _check_unit_mass(weights) -> None:
-    """Raise unless the Fraction weights sum to exactly 1.  They are summed
-    as integers over their least common denominator, which is cheaper than
-    a chain of Fraction additions, each normalised by a gcd."""
-    ws = [(w.numerator, w.denominator) for w in weights]
-    den = math.lcm(*(d for _, d in ws))
-    num = sum(n * (den // d) for n, d in ws)
-    if num != den:
-        raise ValueError(f"total mass {Fraction(num, den)}, expected 1")
+_RATIONAL = frozenset((Fraction, int))
+
+
+def _sorts_on_payload(payloads) -> bool:
+    """Do these payloads compare among themselves in payload_sort_key's
+    order?  They do when all are rationals (Fraction or int), all are strs,
+    or all are tuples of rationals; any other mix needs the key."""
+    kinds = {type(p) for p in payloads}
+    if kinds <= _RATIONAL or kinds == {str}:
+        return True
+    return kinds == {tuple} and all(type(c) in _RATIONAL for p in payloads for c in p)
+
+
+def _atom_payload(atom):
+    return atom[0].payload
+
+
+def _canonical_atoms(merged: dict) -> tuple:
+    """The (Element, weight) items sorted by payload_sort_key of the
+    Element's payload, comparing payloads directly where that gives the
+    same order, so that no key is built per atom."""
+    items = list(merged.items())
+    if len(items) > 1:
+        if _sorts_on_payload([e.payload for e in merged]):
+            items.sort(key=_atom_payload)
+        else:
+            items.sort(key=lambda kv: payload_sort_key(kv[0].payload))
+    return tuple(items)
+
+
+def _payloads_and_weights(item):
+    return [(e.payload, w) for e, w in item[0].atoms]
+
+
+def _canonical_measures(merged: dict) -> tuple:
+    """The (FinMeasure, weight) items sorted by FinMeasure.sort_key.  Every
+    key starts with the one space id, and where the payloads compare
+    directly, (payload, w) pairs order the atoms as the keys do."""
+    items = list(merged.items())
+    if len(items) > 1:
+        if _sorts_on_payload([e.payload for P in merged for e, _ in P.atoms]):
+            items.sort(key=_payloads_and_weights)
+        else:
+            items.sort(key=lambda kv: kv[0].sort_key())
+    return tuple(items)
 
 
 @dataclass(frozen=True)
@@ -60,10 +103,7 @@ class FinMeasure:
         if not merged:
             raise ValueError("measure with no mass")
         _check_unit_mass(merged.values())
-        atoms = tuple(
-            sorted(merged.items(), key=lambda kv: payload_sort_key(kv[0].payload))
-        )
-        return cls(space_id, atoms)
+        return cls(space_id, _canonical_atoms(merged))
 
     def support(self):
         return tuple(e for e, _ in self.atoms)
@@ -104,8 +144,7 @@ class MetaMeasure:
         if not merged:
             raise ValueError("meta-measure with no mass")
         _check_unit_mass(merged.values())
-        atoms = tuple(sorted(merged.items(), key=lambda kv: kv[0].sort_key()))
-        return cls(space_id, atoms)
+        return cls(space_id, _canonical_measures(merged))
 
     def support(self):
         return tuple(P for P, _ in self.atoms)
@@ -146,12 +185,14 @@ def convex_combine_measures(weights, measures) -> FinMeasure:
     Ps = list(measures)
     if len(ws) != len(Ps):
         raise ValueError("weights and measures differ in length")
-    if sum(ws) != 1 or any(w < 0 for w in ws):
-        raise ValueError("weights must be nonnegative and sum to 1")
+    message = "weights must be nonnegative and sum to 1"
+    if any(w.numerator < 0 for w in ws):
+        raise ValueError(message)
+    _check_unit_mass(ws, message)
     space_id = Ps[0].space_id
     pairs = []
     for w, P in zip(ws, Ps):
-        if w == 0:
+        if not w.numerator:
             continue
         for e, pw in P.atoms:
             pairs.append((e, w * pw))

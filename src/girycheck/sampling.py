@@ -13,6 +13,9 @@ from fractions import Fraction
 from .measures import FinMeasure, MetaMeasure
 from .spaces import ConvexSpaceSpec, labels_space
 
+# k/24 for k = 0..24: the steps of the default weight grid
+_TWENTY_FOURTHS = tuple(Fraction(k, 24) for k in range(25))
+
 
 def random_weights(rng: random.Random, n: int, denom: int = 24):
     """n nonnegative Fractions with denominator dividing denom, summing to 1."""
@@ -20,7 +23,8 @@ def random_weights(rng: random.Random, n: int, denom: int = 24):
         raise ValueError("need at least one weight")
     cuts = sorted(rng.randint(0, denom) for _ in range(n - 1))
     bounds = [0] + cuts + [denom]
-    return [Fraction(bounds[i + 1] - bounds[i], denom) for i in range(n)]
+    steps = _TWENTY_FOURTHS if denom == 24 else [Fraction(k, denom) for k in range(denom + 1)]
+    return [steps[b - a] for a, b in zip(bounds, bounds[1:])]
 
 
 def random_measure(

@@ -13,11 +13,20 @@ is exact over Fraction weights.  Carriers implemented here:
 
 Everything downstream (measures, transport, algebra checks) goes through
 `combine` and the Element type defined here.
+
+The scalar work is done on plain ints and turned into one normalised
+Fraction at the end: a weighted sum is one integer numerator over the
+terms' least common denominator, the weight checks read numerators and
+sum them the same way, and the draws build each coordinate with one
+Fraction.  Values and rng calls are those of the plain Fraction
+arithmetic.  An Element computes its hash once and keeps it in a slot.
+Float weights and coordinates are refused rather than converted.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -42,25 +51,79 @@ class SpaceKind(Enum):
     MIXED = "mixed"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Element:
-    """A point of a named space.  Payload shape is carrier-specific."""
+    """A point of a named space.  Payload shape is carrier-specific.
+
+    The hash is the plain dataclass hash of (space_id, payload), computed on
+    first use and kept in the `_hash` slot: Fraction payloads are costly to
+    hash, and measures probe the same Element in dicts many times.  Slots
+    keep an Element free of a per-instance __dict__."""
 
     space_id: str
     payload: object
+    _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash((self.space_id, self.payload))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __reduce__(self):
+        # rebuilt from its fields, so a copy or an unpickled Element hashes
+        # under its own interpreter's string hash seed
+        return (Element, (self.space_id, self.payload))
 
     def __str__(self):
         return f"{self.space_id}:{_payload_str(self.payload)}"
 
 
-def _as_fraction(w) -> Fraction:
-    """A weight as a Fraction.  A float is refused rather than converted:
-    its binary rounding would turn 0.1 + 0.9 into a total that is not 1."""
-    if type(w) is Fraction:
-        return w
-    if isinstance(w, float):
-        raise ValueError(f"float weight {w!r}; weights must be int or Fraction")
-    return Fraction(w)
+def _as_fraction(x, what: str = "weight") -> Fraction:
+    """A weight or a coordinate as a Fraction.  A float is refused rather
+    than converted: its binary rounding would turn 0.1 + 0.9 into a total
+    that is not 1, and 0.1 into 3602879701896397/36028797018963968."""
+    if type(x) is Fraction:
+        return x
+    if isinstance(x, float):
+        raise ValueError(f"float {what} {x!r}; {what}s must be int or Fraction")
+    return Fraction(x)
+
+
+def _products_sum(ws, xs) -> tuple:
+    """Σ wᵢ·xᵢ over rationals as (num, den): one integer numerator over the
+    terms' least common denominator, with no Fraction built on the way."""
+    num, den = 0, 1
+    for w, x in zip(ws, xs):
+        d = w.denominator * x.denominator
+        if den % d:
+            lcm = den // math.gcd(den, d) * d
+            num *= lcm // den
+            den = lcm
+        num += w.numerator * x.numerator * (den // d)
+    return num, den
+
+
+def _weighted_sum(ws, xs) -> Fraction:
+    """Σ wᵢ·xᵢ, normalised once."""
+    return Fraction(*_products_sum(ws, xs))
+
+
+def _check_unit_mass(weights, message: str = "total mass {}, expected 1") -> None:
+    """Raise ValueError(message.format(total)) unless the Fraction weights
+    sum to exactly 1.  They are summed on ints, which is cheaper than a
+    chain of Fraction additions, each normalised by a gcd."""
+    num, den = _products_sum(weights, itertools.repeat(1))
+    if num != den:
+        raise ValueError(message.format(Fraction(num, den)))
+
+
+def _lerp64(lo, hi, k: int) -> Fraction:
+    """lo + (hi - lo)·k/64 on ints, normalised once."""
+    a, b = lo.numerator, lo.denominator
+    c, d = hi.numerator, hi.denominator
+    return Fraction(64 * a * d + (c * b - a * d) * k, 64 * b * d)
 
 
 @dataclass(frozen=True)
@@ -74,10 +137,9 @@ class WeightVector:
         object.__setattr__(self, "weights", ws)
         if not ws:
             raise ValueError("empty weight vector")
-        if any(w < 0 for w in ws):
+        if any(w.numerator < 0 for w in ws):
             raise ValueError(f"negative weight in {ws}")
-        if sum(ws) != 1:
-            raise ValueError(f"weights sum to {sum(ws)}, not 1")
+        _check_unit_mass(ws, "weights sum to {}, not 1")
 
     @classmethod
     def uniform(cls, n: int) -> "WeightVector":
@@ -139,16 +201,16 @@ class Interval:
         _refuse_empty_range(self.lo, self.hi)
 
     def normalize(self, p):
-        return Fraction(p)
+        return _as_fraction(p, "coordinate")
 
     def contains(self, p) -> bool:
         return isinstance(p, Fraction) and self.lo <= p <= self.hi
 
     def combine(self, ws, ps):
-        return sum(w * p for w, p in zip(ws, ps))
+        return _weighted_sum(ws, ps)
 
     def sample(self, rng):
-        return self.lo + (self.hi - self.lo) * Fraction(rng.randint(0, 64), 64)
+        return _lerp64(self.lo, self.hi, rng.randint(0, 64))
 
     def landmarks(self):
         return [self.lo, self.hi, (self.lo + self.hi) / 2]
@@ -178,7 +240,7 @@ class Box:
     def normalize(self, p):
         if not isinstance(p, tuple) or len(p) != len(self.bounds):
             raise ValueError(f"expected {len(self.bounds)} coordinates, got {p!r}")
-        return tuple(Fraction(c) for c in p)
+        return tuple(_as_fraction(c, "coordinate") for c in p)
 
     def contains(self, p) -> bool:
         return (
@@ -188,13 +250,10 @@ class Box:
         )
 
     def combine(self, ws, ps):
-        dim = len(self.bounds)
-        return tuple(sum(w * p[k] for w, p in zip(ws, ps)) for k in range(dim))
+        return tuple(_weighted_sum(ws, xs) for xs in zip(*ps))
 
     def sample(self, rng):
-        return tuple(
-            lo + (hi - lo) * Fraction(rng.randint(0, 64), 64) for lo, hi in self.bounds
-        )
+        return tuple(_lerp64(lo, hi, rng.randint(0, 64)) for lo, hi in self.bounds)
 
     def landmarks(self):
         corners = list(itertools.product(*[(lo, hi) for lo, hi in self.bounds]))
@@ -229,7 +288,7 @@ class Simplex:
     def normalize(self, p):
         if not isinstance(p, tuple) or len(p) != self.n:
             raise ValueError(f"expected {self.n} coordinates, got {p!r}")
-        return tuple(Fraction(c) for c in p)
+        return tuple(_as_fraction(c, "coordinate") for c in p)
 
     def contains(self, p) -> bool:
         return (
@@ -240,12 +299,12 @@ class Simplex:
         )
 
     def combine(self, ws, ps):
-        return tuple(sum(w * p[k] for w, p in zip(ws, ps)) for k in range(self.n))
+        return tuple(_weighted_sum(ws, xs) for xs in zip(*ps))
 
     def sample(self, rng):
-        cuts = [Fraction(rng.randint(1, 9)) for _ in range(self.n)]
+        cuts = [rng.randint(1, 9) for _ in range(self.n)]
         total = sum(cuts)
-        return tuple(c / total for c in cuts)
+        return tuple(Fraction(c, total) for c in cuts)
 
     def landmarks(self):
         verts = []
@@ -287,7 +346,7 @@ class ExtendedLine:
     def normalize(self, p):
         if isinstance(p, ExtValue):
             return p
-        return ExtValue(Fraction(p))
+        return ExtValue(_as_fraction(p, "coordinate"))
 
     def contains(self, p) -> bool:
         if not isinstance(p, ExtValue):
@@ -303,7 +362,7 @@ class ExtendedLine:
     def combine(self, ws, ps):
         if any(p.is_inf for p in ps):
             return INF
-        return ExtValue(sum(w * p.value for w, p in zip(ws, ps)))
+        return ExtValue(_weighted_sum(ws, [p.value for p in ps]))
 
     @cached_property
     def _grid(self) -> tuple:
@@ -659,6 +718,13 @@ class ConvexSpaceSpec:
                     reach[i] |= 1 << j
         return CompiledCarrier(tuple(elems), index, tables, tuple(reach))
 
+    @cached_property
+    def rngless_compat(self) -> dict:
+        """2-point compat verdicts of scans run without an rng, keyed by
+        (metric, budget).  Such a scan always draws from Random(0), so its
+        verdict is computed once and kept on this spec."""
+        return {}
+
     def element(self, raw) -> Element:
         p = self.carrier.normalize(raw)
         if not self.carrier.contains(p):
@@ -698,11 +764,10 @@ def combine(space: ConvexSpaceSpec, weights, elements) -> Element:
     for e in xs:
         if e.space_id != space.id:
             raise ValueError(f"element of {e.space_id} combined in {space.id}")
-    if any(w < 0 for w in ws):
+    if any(w.numerator < 0 for w in ws):
         raise ValueError("negative weight")
-    if sum(ws) != 1:
-        raise ValueError(f"weights sum to {sum(ws)}, not 1")
-    kept = [(w, e) for w, e in zip(ws, xs) if w > 0]
+    _check_unit_mass(ws, "weights sum to {}, not 1")
+    kept = [(w, e) for w, e in zip(ws, xs) if w.numerator]
     if len(kept) == 1:
         return kept[0][1]
     ws2 = tuple(w for w, _ in kept)

@@ -222,6 +222,8 @@ META_STREAM_SHA256 = {
     "N-min": "13e8bef29f4f6a01315e05b528c3d04c9689f55a8990c5c5a2b9660316e18efd",
     "GxD": "899a3e35ceff9485c31aea5e731ac7e0a57aa6af1c09b2104615ef7256182877",
     "vee": "14d063fe13ab608f7f96927173435a82f70c97463bdc41d46440ff2958dcb99d",
+    "unit_interval": "d45968df3fd6ed7b8d429c2a486b5e5df3a90e006429ddb3edaba6203a81acd3",
+    "Rplus": "d096b4387724ebd5b1c2f3e18f8d94b774bc6e5b6b0fb05731a8467a55c2ebed",
 }
 
 

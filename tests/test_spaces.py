@@ -393,6 +393,33 @@ def test_compiled_tables_die_with_their_spec():
     assert ref() is None
 
 
+def test_rngless_compat_verdicts_die_with_their_spec():
+    from girycheck.algebra import build_algebra
+
+    space = labels_space("tmp", ("a", "b", "c"), "collapse", "b")
+    build_algebra(space)
+    assert list(vars(space)["rngless_compat"]) == [(None, 500)]
+    ref = weakref.ref(space)
+    del space
+    gc.collect()
+    assert ref() is None
+
+
+def test_compat_verdict_is_kept_only_without_an_rng():
+    from girycheck.algebra import build_algebra
+    from girycheck.metric_ot import compat_check_2pt, l1_metric
+
+    space = interval_space("tmp", 0, 1)
+    metric = l1_metric(space)
+    build_algebra(space, metric, 40, random.Random(5))
+    assert "rngless_compat" not in vars(space)
+    first = build_algebra(space, metric, 40).compat
+    assert build_algebra(space, metric, 40).compat is first
+    assert first == compat_check_2pt(space, metric, 40)
+    build_algebra(space, None, 30)
+    assert list(space.rngless_compat) == [(metric, 40), (None, 30)]
+
+
 def test_ideals_of_C_are_the_three_expected():
     ideals = enumerate_ideals(C)
     as_labels = [tuple(e.payload for e in i.member_list()) for i in ideals]
@@ -578,3 +605,17 @@ def test_ext_element_round_trip():
     assert as_ext(ext_element(INF)).is_inf
     with pytest.raises(ValueError):
         as_ext(UNIT.element(0))
+
+
+@pytest.mark.parametrize(
+    "sid, raw",
+    [
+        ("unit_interval", 0.1),
+        ("box2", (F(1, 2), 0.1)),
+        ("simplex3", (0.1, 0.2, 0.7)),
+        ("rinf-grid", 0.1),
+    ],
+)
+def test_float_coordinates_are_refused(sid, raw):
+    with pytest.raises(ValueError, match="float coordinate 0.1"):
+        REG[sid].element(raw)
