@@ -144,11 +144,16 @@ def build_algebra(space: ConvexSpaceSpec, metric: ExtMetric = None, budget: int 
         resolved = metric if metric is not None else default_metric(space)
         if rng is not None:
             return compat_check_2pt(space, resolved, budget, rng)
-        # keyed by the metric as given, None standing for the default one
-        known = space.rngless_compat
-        if (metric, budget) not in known:
-            known[metric, budget] = compat_check_2pt(space, resolved, budget)
-        return known[metric, budget]
+        # keyed by the metric as given, default_metric standing for None
+        try:
+            known = space.rngless_compat.setdefault(
+                metric if metric is not None else default_metric, {}
+            )
+        except TypeError:  # a metric that cannot be hashed or weakly referenced
+            return compat_check_2pt(space, resolved, budget)
+        if budget not in known:
+            known[budget] = compat_check_2pt(space, resolved, budget)
+        return known[budget]
 
     if isinstance(carrier, FiniteDiscrete):
         poset = discrete_poset(space)
@@ -484,7 +489,7 @@ def counterexample_C(space: ConvexSpaceSpec = None) -> dict:
     # the would-be operator: the combine rule applied to each measure's atoms
     candidate = user_algebra(space, _combination_rule(space))
     supp = support_condition_check(candidate, budget=50, rng=random.Random(3))
-    rejection = build_algebra(space, metric)
+    rejection = build_algebra(space)
 
     return {
         "space": space.id,

@@ -11,7 +11,7 @@ checked on integers over the least common denominator, and the atoms are
 put in payload_sort_key order.  Where every payload is a rational, every
 one a str, or every one a tuple of rationals, the payloads themselves
 compare in that order, so the sort compares them directly and builds no
-key per atom; meta-measures sort their inner measures the same way.
+key per atom.
 """
 
 from __future__ import annotations
@@ -59,23 +59,6 @@ def _canonical_atoms(merged: dict) -> tuple:
             items.sort(key=_atom_payload)
         else:
             items.sort(key=lambda kv: payload_sort_key(kv[0].payload))
-    return tuple(items)
-
-
-def _payloads_and_weights(item):
-    return [(e.payload, w) for e, w in item[0].atoms]
-
-
-def _canonical_measures(merged: dict) -> tuple:
-    """The (FinMeasure, weight) items sorted by FinMeasure.sort_key.  Every
-    key starts with the one space id, and where the payloads compare
-    directly, (payload, w) pairs order the atoms as the keys do."""
-    items = list(merged.items())
-    if len(items) > 1:
-        if _sorts_on_payload([e.payload for P in merged for e, _ in P.atoms]):
-            items.sort(key=_payloads_and_weights)
-        else:
-            items.sort(key=lambda kv: kv[0].sort_key())
     return tuple(items)
 
 
@@ -144,7 +127,8 @@ class MetaMeasure:
         if not merged:
             raise ValueError("meta-measure with no mass")
         _check_unit_mass(merged.values())
-        return cls(space_id, _canonical_measures(merged))
+        atoms = tuple(sorted(merged.items(), key=lambda kv: kv[0].sort_key()))
+        return cls(space_id, atoms)
 
     def support(self):
         return tuple(P for P, _ in self.atoms)

@@ -13,18 +13,17 @@ from fractions import Fraction
 from .measures import FinMeasure, MetaMeasure
 from .spaces import ConvexSpaceSpec, labels_space
 
-# k/24 for k = 0..24: the steps of the default weight grid
+# k/24 for k = 0..24: the steps of the weight grid
 _TWENTY_FOURTHS = tuple(Fraction(k, 24) for k in range(25))
 
 
-def random_weights(rng: random.Random, n: int, denom: int = 24):
-    """n nonnegative Fractions with denominator dividing denom, summing to 1."""
+def random_weights(rng: random.Random, n: int):
+    """n nonnegative Fractions with denominator dividing 24, summing to 1."""
     if n < 1:
         raise ValueError("need at least one weight")
-    cuts = sorted(rng.randint(0, denom) for _ in range(n - 1))
-    bounds = [0] + cuts + [denom]
-    steps = _TWENTY_FOURTHS if denom == 24 else [Fraction(k, denom) for k in range(denom + 1)]
-    return [steps[b - a] for a, b in zip(bounds, bounds[1:])]
+    cuts = sorted(rng.randint(0, 24) for _ in range(n - 1))
+    bounds = [0] + cuts + [24]
+    return [_TWENTY_FOURTHS[b - a] for a, b in zip(bounds, bounds[1:])]
 
 
 def random_measure(

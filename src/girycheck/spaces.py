@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -719,11 +720,12 @@ class ConvexSpaceSpec:
         return CompiledCarrier(tuple(elems), index, tables, tuple(reach))
 
     @cached_property
-    def rngless_compat(self) -> dict:
-        """2-point compat verdicts of scans run without an rng, keyed by
-        (metric, budget).  Such a scan always draws from Random(0), so its
-        verdict is computed once and kept on this spec."""
-        return {}
+    def rngless_compat(self) -> weakref.WeakKeyDictionary:
+        """2-point compat verdicts of scans run without an rng, as
+        metric -> {budget: verdict}.  Such a scan always draws from
+        Random(0), so its verdict is computed once and kept on this spec
+        for as long as its metric lives."""
+        return weakref.WeakKeyDictionary()
 
     def element(self, raw) -> Element:
         p = self.carrier.normalize(raw)

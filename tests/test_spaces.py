@@ -3,12 +3,14 @@ import itertools
 import random
 import weakref
 from fractions import Fraction as F
+from unittest.mock import ANY
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from girycheck.extvalue import INF, ExtValue
+from girycheck.metric_ot import default_metric
 from girycheck.spaces import (
     P_GRID,
     AffineMap,
@@ -398,7 +400,7 @@ def test_rngless_compat_verdicts_die_with_their_spec():
 
     space = labels_space("tmp", ("a", "b", "c"), "collapse", "b")
     build_algebra(space)
-    assert list(vars(space)["rngless_compat"]) == [(None, 500)]
+    assert dict(vars(space)["rngless_compat"]) == {default_metric: {500: ANY}}
     ref = weakref.ref(space)
     del space
     gc.collect()
@@ -417,7 +419,36 @@ def test_compat_verdict_is_kept_only_without_an_rng():
     assert build_algebra(space, metric, 40).compat is first
     assert first == compat_check_2pt(space, metric, 40)
     build_algebra(space, None, 30)
-    assert list(space.rngless_compat) == [(metric, 40), (None, 30)]
+    assert dict(space.rngless_compat) == {metric: {40: first}, default_metric: {30: ANY}}
+
+
+def test_compat_verdicts_die_with_their_metric():
+    from girycheck.algebra import build_algebra
+
+    space = interval_space("tmp", 0, 1)
+    for _ in range(3):
+        build_algebra(space, default_metric(space), 40)
+    gc.collect()
+    assert len(space.rngless_compat) == 0
+
+
+def test_unhashable_metric_is_scanned_and_not_kept():
+    from girycheck.algebra import build_algebra
+    from girycheck.metric_ot import compat_check_2pt
+
+    class Metric:
+        __hash__ = None
+
+        def __init__(self, space):
+            self.inner = default_metric(space)
+
+        def __call__(self, x, y):
+            return self.inner(x, y)
+
+    space = interval_space("tmp", 0, 1)
+    metric = Metric(space)
+    assert build_algebra(space, metric, 40).compat == compat_check_2pt(space, metric, 40)
+    assert len(space.rngless_compat) == 0
 
 
 def test_ideals_of_C_are_the_three_expected():
