@@ -23,6 +23,10 @@ class ExtValue:
             self._num = value
         elif isinstance(value, ExtValue):
             self._num = value._num
+        elif isinstance(value, float):
+            # refused rather than converted, as the carriers refuse floats:
+            # 0.1 would become 3602879701896397/36028797018963968
+            raise ValueError(f"float value {value!r}; values must be int or Fraction")
         else:
             self._num = Fraction(value)
 

@@ -6,20 +6,22 @@ probability functor, and all identities tested downstream (unit and
 associativity of flattening, naturality, linearity of expectation) are
 checked with exact Fraction arithmetic.
 
-A measure is built in one pass: weights merge per atom, the total mass is
-checked on integers over the least common denominator, and the atoms are
-put in payload_sort_key order.  Where every payload is a rational, every
-one a str, or every one a tuple of rationals, the payloads themselves
-compare in that order, so the sort compares them directly and builds no
-key per atom.
+A measure is built in one pass: the total mass is checked on integers over
+the least common denominator, the atoms are put in payload_sort_key order,
+and equal neighbours merge, so no atom is hashed.  Where every payload is
+a rational, every one a str, or every one a tuple of rationals, the
+payloads themselves compare in that order, so the sort compares them
+directly and builds no key per atom.  Flattening and expectations run on
+ints over a common denominator and build one Fraction per result.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .extvalue import ExtValue, ext_sum
+from .extvalue import INF, ExtValue
 from .spaces import (
     AffineMap,
     ConvexSpaceSpec,
@@ -27,6 +29,7 @@ from .spaces import (
     _as_fraction,
     _check_unit_mass,
     _split_top,
+    _weighted_sum,
     as_ext,
     payload_sort_key,
 )
@@ -49,17 +52,32 @@ def _atom_payload(atom):
     return atom[0].payload
 
 
-def _canonical_atoms(merged: dict) -> tuple:
-    """The (Element, weight) items sorted by payload_sort_key of the
+def _sort_atoms(pairs: list) -> None:
+    """Sort (Element, weight) pairs stably by payload_sort_key of the
     Element's payload, comparing payloads directly where that gives the
     same order, so that no key is built per atom."""
-    items = list(merged.items())
-    if len(items) > 1:
-        if _sorts_on_payload([e.payload for e in merged]):
-            items.sort(key=_atom_payload)
+    if _sorts_on_payload([e.payload for e, _ in pairs]):
+        pairs.sort(key=_atom_payload)
+    else:
+        pairs.sort(key=lambda kv: payload_sort_key(kv[0].payload))
+
+
+def _merged_atoms(pairs: list) -> tuple:
+    """The (Element, weight) pairs in canonical order with == neighbours
+    merged: the first Element is kept and the weights are added in input
+    order.  No atom is hashed."""
+    if len(pairs) == 1:
+        return tuple(pairs)
+    _sort_atoms(pairs)
+    atoms = []
+    last = None
+    for e, w in pairs:
+        if last is not None and e.payload == last.payload:
+            atoms[-1] = (last, atoms[-1][1] + w)
         else:
-            items.sort(key=lambda kv: payload_sort_key(kv[0].payload))
-    return tuple(items)
+            atoms.append((e, w))
+            last = e
+    return tuple(atoms)
 
 
 @dataclass(frozen=True)
@@ -72,7 +90,7 @@ class FinMeasure:
 
     @classmethod
     def from_pairs(cls, space_id: str, pairs) -> "FinMeasure":
-        merged = {}
+        kept = []
         for e, w in pairs:
             w = _as_fraction(w)
             if w.numerator < 0:
@@ -81,12 +99,11 @@ class FinMeasure:
                 continue
             if not isinstance(e, Element) or e.space_id != space_id:
                 raise ValueError(f"atom {e!r} does not live in {space_id}")
-            old = merged.get(e)
-            merged[e] = w if old is None else old + w
-        if not merged:
+            kept.append((e, w))
+        if not kept:
             raise ValueError("measure with no mass")
-        _check_unit_mass(merged.values())
-        return cls(space_id, _canonical_atoms(merged))
+        _check_unit_mass(w for _, w in kept)
+        return cls(space_id, _merged_atoms(kept))
 
     def support(self):
         return tuple(e for e, _ in self.atoms)
@@ -156,11 +173,37 @@ def pushforward(f, P: FinMeasure) -> FinMeasure:
 
 def mu(Q: MetaMeasure) -> FinMeasure:
     """Flatten a measure over measures: weights multiply and atoms merge."""
-    pairs = []
-    for P, q in Q.atoms:
+    return _flatten(Q.space_id, Q.atoms)
+
+
+def _flatten(space_id: str, outer) -> FinMeasure:
+    """The measure sum_j q_j * P_j for (FinMeasure P_j, weight q_j) pairs,
+    merged or not, with from_pairs' checks on each product weight.
+
+    Every product q*w is an int numerator over the common denominator of
+    all of them, atoms merge on those ints, and each distinct atom gets
+    one Fraction."""
+    terms = []
+    den = 1
+    for P, q in outer:
         for e, w in P.atoms:
-            pairs.append((e, q * w))
-    return FinMeasure.from_pairs(Q.space_id, pairs)
+            n, d = q.numerator * w.numerator, q.denominator * w.denominator
+            if n < 0:
+                raise ValueError(f"negative weight {Fraction(n, d)}")
+            if not n:
+                continue
+            if not isinstance(e, Element) or e.space_id != space_id:
+                raise ValueError(f"atom {e!r} does not live in {space_id}")
+            if den % d:
+                den = den // math.gcd(den, d) * d
+            terms.append((e, n, d))
+    if not terms:
+        raise ValueError("measure with no mass")
+    scaled = [(e, n * (den // d)) for e, n, d in terms]
+    total = sum(n for _, n in scaled)
+    if total != den:
+        raise ValueError(f"total mass {Fraction(total, den)}, expected 1")
+    return FinMeasure(space_id, tuple((e, Fraction(n, den)) for e, n in _merged_atoms(scaled)))
 
 
 def convex_combine_measures(weights, measures) -> FinMeasure:
@@ -196,12 +239,6 @@ def mix_meta(weights, metas) -> MetaMeasure:
     return MetaMeasure.from_pairs(Qs[0].space_id, pairs)
 
 
-def map_inner(f, Q: MetaMeasure) -> MetaMeasure:
-    """Apply a pushforward to every inner measure (functor action on G)."""
-    outs = [(pushforward(f, P), w) for P, w in Q.atoms]
-    return MetaMeasure.from_pairs(outs[0][0].space_id, outs)
-
-
 def support(P: FinMeasure):
     return P.support()
 
@@ -213,13 +250,15 @@ def measure_eval(P: FinMeasure, members) -> Fraction:
 
 
 def expectation_functional(P: FinMeasure, m) -> ExtValue:
-    """E_P(m) = sum_i p_i * m(x_i) with absorbing inf arithmetic."""
-    terms = []
-    for e, w in P.atoms:
+    """E_P(m) = sum_i p_i * m(x_i) with absorbing inf arithmetic: every
+    weight is positive, so one infinite value makes the sum inf."""
+    values = []
+    for e, _ in P.atoms:
         v = m(e)
-        v = as_ext(v) if isinstance(v, Element) else ExtValue(v)
-        terms.append(w * v)
-    return ext_sum(terms)
+        values.append(as_ext(v) if isinstance(v, Element) else ExtValue(v))
+    if any(v.is_inf for v in values):
+        return INF
+    return ExtValue(_weighted_sum([w for _, w in P.atoms], [v.value for v in values]))
 
 
 # ---------------------------------------------------------------------------

@@ -35,16 +35,26 @@ def random_measure(
     return FinMeasure.from_pairs(space.id, zip(elems, ws))
 
 
+def random_meta_pairs(
+    rng: random.Random,
+    space: ConvexSpaceSpec,
+    max_outer: int = 3,
+    max_atoms: int = 3,
+) -> list:
+    """The (FinMeasure, weight) pairs of a random meta-measure, as drawn:
+    zero weights kept and equal inner measures not merged."""
+    k = rng.randint(1, max_outer)
+    inner = [random_measure(rng, space, max_atoms) for _ in range(k)]
+    return list(zip(inner, random_weights(rng, k)))
+
+
 def random_meta(
     rng: random.Random,
     space: ConvexSpaceSpec,
     max_outer: int = 3,
     max_atoms: int = 3,
 ) -> MetaMeasure:
-    k = rng.randint(1, max_outer)
-    inner = [random_measure(rng, space, max_atoms) for _ in range(k)]
-    ws = random_weights(rng, k)
-    return MetaMeasure.from_pairs(space.id, zip(inner, ws))
+    return MetaMeasure.from_pairs(space.id, random_meta_pairs(rng, space, max_outer, max_atoms))
 
 
 def random_tower(rng: random.Random, space: ConvexSpaceSpec):

@@ -778,9 +778,21 @@ def combine(space: ConvexSpaceSpec, weights, elements) -> Element:
 
 
 def combine2(space: ConvexSpaceSpec, p, x: Element, y: Element) -> Element:
-    """Binary combination p*x + (1-p)*y."""
+    """Binary combination p*x + (1-p)*y, with combine's checks and messages:
+    the two weights sum to 1 by construction, so only 0 <= p <= 1 is read,
+    on p's numerator."""
     p = _as_fraction(p)
-    return combine(space, (p, 1 - p), (x, y))
+    for e in (x, y):
+        if e.space_id != space.id:
+            raise ValueError(f"element of {e.space_id} combined in {space.id}")
+    n, d = p.numerator, p.denominator
+    if n < 0 or n > d:
+        raise ValueError("negative weight")
+    if n == d:
+        return x
+    if not n:
+        return y
+    return Element(space.id, space.carrier.combine((p, 1 - p), (x.payload, y.payload)))
 
 
 # ---------------------------------------------------------------------------
@@ -1021,39 +1033,6 @@ def discrete_poset(space: ConvexSpaceSpec) -> PosetReport:
     return PosetReport(space.id, le_pairs, not witness, witness)
 
 
-@dataclass(frozen=True)
-class KindReport:
-    kind: SpaceKind
-    declared: bool
-    discrete_pair: Optional[tuple] = None
-    geometric_pair: Optional[tuple] = None
-
-
-def classify_kind(space: ConvexSpaceSpec) -> KindReport:
-    """Exhaustive pair test on finite carriers: a pair is discrete-behaving
-    when its combination is the same point for every grid p.  Infinite
-    carriers return the declared kind."""
-    elems = space.enumerate_elements()
-    if elems is None or len(elems) > 64:
-        return KindReport(space.kind, declared=True)
-    disc = geo = None
-    for x, y in itertools.combinations(elems, 2):
-        results = {combine2(space, p, x, y) for p in P_GRID}
-        if len(results) == 1:
-            disc = disc or (x, y)
-        else:
-            geo = geo or (x, y)
-    if disc and not geo:
-        kind = SpaceKind.DISCRETE
-    elif geo and not disc:
-        kind = SpaceKind.GEOMETRIC
-    elif disc and geo:
-        kind = SpaceKind.MIXED
-    else:
-        kind = space.kind  # single-point carrier: keep the declaration
-    return KindReport(kind, declared=False, discrete_pair=disc, geometric_pair=geo)
-
-
 # ---------------------------------------------------------------------------
 # constructors and built-in spaces
 
@@ -1117,10 +1096,6 @@ def _needs_transition(branch_space, a, b) -> bool:
 def projection(prod: ConvexSpaceSpec, index: int) -> AffineMap:
     comp = prod.carrier.components[index]
     return AffineMap(prod, comp, lambda e: comp.element(e.payload[index]), name=f"proj{index}")
-
-
-def pair_element(prod: ConvexSpaceSpec, x: Element, y: Element) -> Element:
-    return prod.element((x.payload, y.payload))
 
 
 def builtin_spaces() -> dict:

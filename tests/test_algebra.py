@@ -10,7 +10,6 @@ from girycheck.algebra import (
     coseparator_maps,
     counterexample_C,
     full_report,
-    induced_structure_check,
     support_condition_check,
     user_algebra,
     verify_coseparator_property,
@@ -20,7 +19,7 @@ from girycheck.algebra import (
 from girycheck.extvalue import INF, ExtValue
 from girycheck.measures import FinMeasure, MetaMeasure, dirac, mu, support
 from girycheck.metric_ot import default_metric, lipschitz_check
-from girycheck.sampling import random_measure
+from girycheck.sampling import random_measure, random_weights
 from girycheck.spaces import (
     Gluing,
     as_ext,
@@ -32,10 +31,36 @@ from girycheck.spaces import (
     product_space,
     semidirect_space,
 )
+from girycheck.verdicts import failed, passed
 
 REG = builtin_spaces()
 UNIT = REG["unit_interval"]
 VEE = REG["vee"]
+
+
+def induced_structure_check(h, budget: int = 200, rng=None):
+    """The combination induced by h agrees with the declared combine rule.
+
+    A built operator is that combine rule, so this holds by construction
+    there; it stays a real check for operators from user_algebra."""
+    space = h.space
+    rng = rng or random.Random(23)
+    for _ in range(budget):
+        k = rng.randint(1, 4)
+        xs = [space.sample_element(rng) for _ in range(k)]
+        ws = random_weights(rng, k)
+        native = combine(space, ws, xs)
+        via_h = h(FinMeasure.from_pairs(space.id, zip(xs, ws)))
+        if native != via_h:
+            return failed(
+                {
+                    "points": ", ".join(space.point_str(x) for x in xs),
+                    "weights": ", ".join(str(w) for w in ws),
+                    "combine": space.point_str(native),
+                    "algebra": space.point_str(via_h),
+                }
+            )
+    return passed(exhaustive=False, note=f"{budget} random families")
 
 ALGEBRA_SPACES = (
     "unit_interval", "box2", "simplex3", "rinf-grid", "rplus-grid",

@@ -5,6 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from girycheck.extvalue import INF, ZERO, ExtValue, ext_abs_diff, ext_sum, parse_ext
+from girycheck.registry import builtin_registry
+from girycheck.spaces import ext_element
 
 rationals = st.fractions(max_denominator=64)
 ext_values = st.one_of(st.just(INF), rationals.map(ExtValue))
@@ -17,6 +19,21 @@ def test_constructors():
     assert ExtValue(5).value == 5
     assert ExtValue(INF).is_inf
     assert ExtValue("2/3").value == F(2, 3)
+
+
+def test_floats_are_refused():
+    rinf_grid = builtin_registry().space("rinf-grid")
+    for make in (
+        lambda: ExtValue(0.1),
+        lambda: ext_element(0.1),
+        lambda: rinf_grid.element(ExtValue(0.1)),
+    ):
+        with pytest.raises(ValueError, match=r"^float value 0\.1; values must be int or Fraction$"):
+            make()
+    for v in (3, F(1, 4), ExtValue(F(1, 4)), INF):
+        assert ExtValue(v) == v
+        assert ext_element(v).payload == v
+        assert rinf_grid.element(ExtValue(v)).payload == v
 
 
 def test_inf_has_no_finite_part():

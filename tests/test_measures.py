@@ -14,7 +14,6 @@ from girycheck.measures import (
     dirac,
     dirac_meta,
     expectation_functional,
-    map_inner,
     measure_eval,
     mix_meta,
     mu,
@@ -41,6 +40,12 @@ REG = builtin_spaces()
 UNIT = REG["unit_interval"]
 CHAIN = REG["chain-max"]
 COORD = AffineMap(UNIT, RINF, lambda e: ext_element(e.payload), name="coord")
+
+
+def map_inner(f, Q: MetaMeasure) -> MetaMeasure:
+    """Apply a pushforward to every inner measure (functor action on G)."""
+    outs = [(pushforward(f, P), w) for P, w in Q.atoms]
+    return MetaMeasure.from_pairs(outs[0][0].space_id, outs)
 
 
 def unit_measure(*pairs):

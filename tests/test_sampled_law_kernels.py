@@ -1,0 +1,421 @@
+"""Oracles for the measure pipeline under the sampled laws.
+
+`FinMeasure.from_pairs` merges atoms by sorting, `mu` flattens on ints,
+`combine2` checks its two weights itself, `expectation_functional` sums on
+ints, and `verify_mult_law` builds a MetaMeasure only for a witness.  Each
+is checked here against the code it replaced, kept verbatim as
+`_reference_*`.
+"""
+
+import random
+from fractions import Fraction
+from types import SimpleNamespace
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from girycheck.algebra import (
+    Rejection,
+    _meta_text,
+    build_algebra,
+    coseparator_maps,
+    user_algebra,
+    verify_mult_law,
+)
+from girycheck.extvalue import INF, ExtValue, ext_sum
+from girycheck.measures import (
+    FinMeasure,
+    MetaMeasure,
+    _atom_payload,
+    _flatten,
+    _sorts_on_payload,
+    expectation_functional,
+    mu,
+)
+from girycheck.sampling import random_measure, random_meta, random_meta_pairs, random_weights
+from girycheck.spaces import (
+    P_GRID,
+    RINF,
+    AffineMap,
+    Element,
+    _as_fraction,
+    _check_unit_mass,
+    as_ext,
+    builtin_spaces,
+    combine,
+    combine2,
+    ext_element,
+    payload_sort_key,
+)
+from girycheck.verdicts import failed, passed
+
+REG = builtin_spaces()
+F = Fraction
+
+
+# ---------------------------------------------------------------------------
+# the code the fast paths replaced
+
+
+def _reference_canonical_atoms(merged: dict) -> tuple:
+    """The (Element, weight) items sorted by payload_sort_key of the
+    Element's payload, comparing payloads directly where that gives the
+    same order, so that no key is built per atom."""
+    items = list(merged.items())
+    if len(items) > 1:
+        if _sorts_on_payload([e.payload for e in merged]):
+            items.sort(key=_atom_payload)
+        else:
+            items.sort(key=lambda kv: payload_sort_key(kv[0].payload))
+    return tuple(items)
+
+
+def _reference_from_pairs(space_id, pairs):
+    merged = {}
+    for e, w in pairs:
+        w = _as_fraction(w)
+        if w.numerator < 0:
+            raise ValueError(f"negative weight {w}")
+        if not w:
+            continue
+        if not isinstance(e, Element) or e.space_id != space_id:
+            raise ValueError(f"atom {e!r} does not live in {space_id}")
+        old = merged.get(e)
+        merged[e] = w if old is None else old + w
+    if not merged:
+        raise ValueError("measure with no mass")
+    _check_unit_mass(merged.values())
+    return FinMeasure(space_id, _reference_canonical_atoms(merged))
+
+
+def _reference_mu(Q):
+    """Flatten a measure over measures: weights multiply and atoms merge."""
+    pairs = []
+    for P, q in Q.atoms:
+        for e, w in P.atoms:
+            pairs.append((e, q * w))
+    return FinMeasure.from_pairs(Q.space_id, pairs)
+
+
+def _reference_combine2(space, p, x, y):
+    """Binary combination p*x + (1-p)*y."""
+    p = _as_fraction(p)
+    return combine(space, (p, 1 - p), (x, y))
+
+
+def _reference_expectation_functional(P, m):
+    """E_P(m) = sum_i p_i * m(x_i) with absorbing inf arithmetic."""
+    terms = []
+    for e, w in P.atoms:
+        v = m(e)
+        v = as_ext(v) if isinstance(v, Element) else ExtValue(v)
+        terms.append(w * v)
+    return ext_sum(terms)
+
+
+def _reference_random_meta(rng, space, max_outer=3, max_atoms=3):
+    k = rng.randint(1, max_outer)
+    inner = [random_measure(rng, space, max_atoms) for _ in range(k)]
+    ws = random_weights(rng, k)
+    return MetaMeasure.from_pairs(space.id, zip(inner, ws))
+
+
+def _reference_verify_mult_law(h, budget=300, rng=None):
+    """h after flattening equals h after applying h inside, on random
+    two-level measures."""
+    space = h.space
+    rng = rng or random.Random(13)
+    for _ in range(budget):
+        Q = _reference_random_meta(rng, space, max_outer=5, max_atoms=5)
+        left = h(_reference_mu(Q))
+        inner_applied = FinMeasure.from_pairs(
+            space.id, [(h(P), q) for P, q in Q.atoms]
+        )
+        right = h(inner_applied)
+        if left != right:
+            return failed(
+                {
+                    "Q": _meta_text(Q, space),
+                    "flatten_then_h": space.point_str(left),
+                    "h_inside_then_h": space.point_str(right),
+                }
+            )
+    return passed(exhaustive=False, note=f"{budget} random meta-measures")
+
+
+def _outcome(build, *args):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return ("ok", build(*args))
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return (type(exc), str(exc))
+
+
+def _same_measure(got, want):
+    """Equal atoms and weights, every weight a Fraction, and each atom the
+    very Element object the reference kept."""
+    assert got == want
+    assert all(type(w) is Fraction for _, w in got.atoms)
+    assert all(a is b for (a, _), (b, _) in zip(got.atoms, want.atoms))
+
+
+# ---------------------------------------------------------------------------
+# from_pairs: sort-merge against dict-merge
+
+rationals = st.one_of(
+    st.integers(-6, 6), st.fractions(min_value=-3, max_value=3, max_denominator=4)
+)
+labels = st.sampled_from(("a", "b", "c", "ab"))
+# one strategy per payload family; each family's values hash as they
+# compare, so a dict merges exactly the atoms that are ==
+PAYLOAD_FAMILIES = {
+    "rational": rationals,
+    "label": labels,
+    "tuple": st.tuples(rationals, rationals),
+    "ext": st.one_of(st.just(INF), rationals.map(ExtValue)),
+    "ext-tuple": st.tuples(st.one_of(st.just(INF), rationals.map(ExtValue)), rationals),
+    "branch": st.tuples(labels, rationals),
+    "str-or-rational": st.one_of(labels, rationals),
+    "str-or-tuple": st.one_of(labels, st.tuples(rationals, rationals)),
+}
+weights = st.one_of(
+    st.just(0), st.integers(0, 2), st.fractions(min_value=0, max_value=2, max_denominator=6)
+)
+bad_weights = st.one_of(
+    st.fractions(min_value=-1, max_value=F(-1, 6), max_denominator=6),
+    st.just(-1),
+    st.sampled_from((0.5, 0.1)),
+)
+strays = st.sampled_from((Element("T", F(0)), "x", None))
+
+
+@st.composite
+def element_pairs(draw, family):
+    # few distinct payloads, so duplicates are common; each pair gets a
+    # fresh Element, so the kept one can be told apart from its equals
+    pool = draw(st.lists(family, min_size=1, max_size=4))
+    pairs = [
+        (Element("S", draw(st.sampled_from(pool))), draw(weights))
+        for _ in range(draw(st.integers(0, 7)))
+    ]
+    total = sum(F(w) for _, w in pairs)
+    if total and draw(st.booleans()):
+        pairs = [(e, F(w) / total) for e, w in pairs]
+    fault = draw(st.sampled_from((None, None, "stray", "weight")))
+    if fault == "stray":
+        pairs.insert(draw(st.integers(0, len(pairs))), (draw(strays), draw(weights)))
+    elif fault == "weight":
+        e = Element("S", draw(st.sampled_from(pool)))
+        pairs.insert(draw(st.integers(0, len(pairs))), (e, draw(bad_weights)))
+    return pairs
+
+
+@settings(max_examples=400, deadline=None)
+@given(family=st.sampled_from(sorted(PAYLOAD_FAMILIES)), data=st.data())
+def test_sort_merge_from_pairs_equals_the_dict_merge(family, data):
+    pairs = data.draw(element_pairs(PAYLOAD_FAMILIES[family]))
+    got = _outcome(FinMeasure.from_pairs, "S", pairs)
+    want = _outcome(_reference_from_pairs, "S", pairs)
+    if want[0] == "ok":
+        assert got[0] == "ok", got
+        _same_measure(got[1], want[1])
+    else:
+        assert got == want
+
+
+def test_sort_merge_keeps_the_first_element_and_adds_in_order():
+    first, second, other = Element("S", F(1, 2)), Element("S", F(1, 2)), Element("S", F(0))
+    P = FinMeasure.from_pairs("S", [(first, F(1, 3)), (other, F(1, 3)), (second, F(1, 3))])
+    assert P.atoms == ((other, F(1, 3)), (first, F(2, 3)))
+    assert P.atoms[1][0] is first
+
+
+@pytest.mark.parametrize(
+    "pairs, message",
+    [
+        ([], "measure with no mass"),
+        ([(Element("S", 0), 0)], "measure with no mass"),
+        ([(Element("S", 0), F(1, 2)), (Element("S", 0), F(1, 3))], "total mass 5/6, expected 1"),
+        ([(Element("S", 0), F(-1, 2))], "negative weight -1/2"),
+        ([(Element("T", 0), 1)], "atom Element(space_id='T', payload=0) does not live in S"),
+        ([(Element("S", 0), 0.5)], "float weight 0.5; weights must be int or Fraction"),
+    ],
+)
+def test_from_pairs_errors_are_kept(pairs, message):
+    assert _outcome(FinMeasure.from_pairs, "S", pairs) == (ValueError, message)
+    assert _outcome(_reference_from_pairs, "S", pairs) == (ValueError, message)
+
+
+# ---------------------------------------------------------------------------
+# mu: one integer flatten
+
+FLAT_SPACES = ("unit_interval", "box2", "simplex3", "rinf-grid", "N-min", "GxD", "vee")
+outer_weights = st.one_of(st.just(0), st.fractions(min_value=0, max_value=1, max_denominator=12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sid=st.sampled_from(FLAT_SPACES), seed=st.integers(0, 10**6), data=st.data())
+def test_integer_flatten_equals_the_fraction_mu(sid, seed, data):
+    space = REG[sid]
+    rng = random.Random(seed)
+    pool = [random_measure(rng, space, 4) for _ in range(3)]
+    idx = data.draw(st.lists(st.integers(0, 2), min_size=1, max_size=5))
+    pairs = [(pool[i], data.draw(outer_weights)) for i in idx]
+    total = sum(q for _, q in pairs)
+    if total and data.draw(st.booleans()):
+        pairs = [(P, q / total) for P, q in pairs]
+    # raw pairs, unmerged and with zeros, as verify_mult_law flattens them
+    raw = SimpleNamespace(space_id=sid, atoms=pairs)
+    got = _outcome(_flatten, sid, pairs)
+    want = _outcome(_reference_mu, raw)
+    if want[0] == "ok":
+        assert got[0] == "ok", got
+        assert got[1] == want[1] and all(type(w) is Fraction for _, w in got[1].atoms)
+        Q = MetaMeasure.from_pairs(sid, pairs)
+        assert mu(Q) == _reference_mu(Q) == want[1]
+    else:
+        assert got == want
+
+
+def test_integer_flatten_keeps_the_atom_checks():
+    # FinMeasure's own constructor skips from_pairs' checks; the flatten
+    # still refuses what from_pairs would
+    x = Element("S", F(0))
+    for P, q in [
+        (FinMeasure("S", ((Element("T", F(0)), F(1)),)), F(1)),
+        (FinMeasure("S", (("x", F(1)),)), F(1)),
+        (FinMeasure("S", ((x, F(-1)), (x, F(2)))), F(1)),
+        (FinMeasure("S", ((x, F(1)),)), F(-1)),
+        (FinMeasure("S", ((x, F(1)),)), F(1, 2)),
+        (FinMeasure("S", ((x, F(1)),)), F(0)),
+    ]:
+        raw = SimpleNamespace(space_id="S", atoms=[(P, q)])
+        want = _outcome(_reference_mu, raw)
+        assert want[0] is ValueError
+        assert _outcome(_flatten, "S", [(P, q)]) == want
+
+
+# ---------------------------------------------------------------------------
+# combine2 against combine
+
+
+COMBINE2_PS = (0, 1, F(0), F(1), *P_GRID, F(-1, 3), -1, F(4, 3), 2, 0.5, "1/2")
+
+
+@pytest.mark.parametrize("sid", sorted(REG))
+def test_combine2_equals_combine_on_both_weights(sid):
+    space = REG[sid]
+    foreign = REG["two" if sid != "two" else "point"].landmark_elements()[0]
+    rng = random.Random(f"combine2/{sid}")
+    points = space.landmark_elements() + [space.sample_element(rng) for _ in range(6)]
+    cases = [(x, y) for x in points[:5] for y in points[-5:]]
+    for x, y in cases + [(foreign, points[0]), (points[0], foreign)]:
+        for p in COMBINE2_PS:
+            got = _outcome(combine2, space, p, x, y)
+            want = _outcome(_reference_combine2, space, p, x, y)
+            assert got == want, (sid, p, x, y)
+    for x, y in cases:
+        # a zero weight drops its point: the other comes back as it is
+        assert combine2(space, 1, x, y) is x and combine2(space, 0, x, y) is y
+
+
+def test_combine2_error_messages():
+    unit = REG["unit_interval"]
+    x, y = unit.element(0), unit.element(1)
+    for p, msg in [
+        (F(3, 2), "negative weight"),
+        (F(-1, 2), "negative weight"),
+        (0.5, "float weight 0.5; weights must be int or Fraction"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{msg}$"):
+            combine2(unit, p, x, y)
+    with pytest.raises(ValueError, match="^element of box2 combined in unit_interval$"):
+        combine2(unit, F(3, 2), x, REG["box2"].element((0, 0)))
+
+
+# ---------------------------------------------------------------------------
+# expectations on ints
+
+
+def _raw_values():
+    """A map whose values are plain rationals and inf, not Elements."""
+    rank = {}
+
+    def fn(e):
+        k = rank.setdefault(e, len(rank))
+        return None if k % 5 == 4 else F(k, 3)
+
+    return fn
+
+
+@pytest.mark.parametrize("sid", sorted(REG))
+def test_expectation_kernel_equals_the_ext_sum(sid):
+    space = REG[sid]
+    if isinstance(build_algebra(space), Rejection):
+        maps = []
+    else:
+        maps = coseparator_maps(space)
+    maps = list(maps) + [_raw_values()]
+    rng = random.Random(f"expectation/{sid}")
+    for _ in range(60):
+        P = random_measure(rng, space, 5)
+        for m in maps:
+            got = expectation_functional(P, m)
+            want = _reference_expectation_functional(P, m)
+            assert got == want and got.is_inf == want.is_inf
+            assert got.is_inf or type(got.value) is Fraction
+
+
+def test_expectation_of_inf_is_inf_and_errors_pass_through():
+    rinf = REG["rinf-grid"]
+    P = FinMeasure.from_pairs(rinf.id, [(rinf.element(INF), F(1, 8)), (rinf.element(2), F(7, 8))])
+    coord = AffineMap(rinf, RINF, lambda e: ext_element(e.payload), name="coord")
+    assert expectation_functional(P, coord) is INF
+    for bad in (lambda e: 0.5, lambda e: "x"):
+        assert _outcome(expectation_functional, P, bad) == _outcome(
+            _reference_expectation_functional, P, bad
+        )
+
+
+# ---------------------------------------------------------------------------
+# the multiplication law without a canonical MetaMeasure per draw
+
+
+@pytest.mark.parametrize("sid", sorted(REG))
+def test_random_meta_pairs_draw_like_random_meta(sid):
+    space = REG[sid]
+    a, b = random.Random(f"meta/{sid}"), random.Random(f"meta/{sid}")
+    for _ in range(30):
+        assert random_meta(a, space, 5, 5) == _reference_random_meta(b, space, 5, 5)
+    assert a.getstate() == b.getstate()
+
+
+@pytest.mark.parametrize("seed", [13, 2026])
+@pytest.mark.parametrize("sid", sorted(REG))
+def test_mult_law_equals_the_reference(sid, seed):
+    space = REG[sid]
+    h = build_algebra(space, rng=random.Random(0))
+    if isinstance(h, Rejection):
+        return
+    a, b = random.Random(seed), random.Random(seed)
+    got = verify_mult_law(h, 60, a)
+    assert got == _reference_verify_mult_law(h, 60, b)
+    assert a.getstate() == b.getstate()
+
+
+def _heaviest_atom(P):
+    """Not an algebra: the first atom of largest weight."""
+    return max(P.atoms, key=lambda a: a[1])[0]
+
+
+@pytest.mark.parametrize("sid", ["unit_interval", "box2", "N-min", "vee"])
+@pytest.mark.parametrize("seed", [13, 2026])
+def test_mult_law_witness_equals_the_reference_on_a_broken_operator(sid, seed):
+    h = user_algebra(REG[sid], _heaviest_atom)
+    a, b = random.Random(seed), random.Random(seed)
+    got = verify_mult_law(h, 300, a)
+    want = _reference_verify_mult_law(h, 300, b)
+    assert not want.ok
+    assert got == want
+    assert a.getstate() == b.getstate()
