@@ -4,7 +4,9 @@ Subcommands: check-compat, check-laws, wasserstein, expect, counterexample,
 fields-demo, report-all.  Exit codes: 0 all requested checks passed, 1 some
 check failed, 2 usage or parse errors.  JSON reports are versioned and
 deterministic for a fixed seed; timing is printed only in text mode so the
-JSON stays byte-stable.
+JSON stays byte-stable.  report-all, and check-compat/check-laws over all
+spaces, spread whole spaces over the usable CPUs; each space draws from its
+own rng stream, so the report does not depend on the number of CPUs.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import random
 import sys
 import time
@@ -351,7 +354,8 @@ def _fields_section() -> dict:
     }
 
 
-def _report_all(reg, seed, budget) -> dict:
+def _shared_sections(reg, seed) -> dict:
+    """The sections of report-all that are not per space."""
     unit = reg.space("unit_interval")
     metric = reg.metric("unit_interval")
     P = FinMeasure.from_pairs(unit.id, [(unit.element(0), Fraction(1))])
@@ -366,18 +370,7 @@ def _report_all(reg, seed, budget) -> dict:
         B = random_measure(rng, unit, 4)
         if wasserstein(A, B, metric).cost == brute_force_wasserstein(A, B, metric).cost:
             agree += 1
-    report = {
-        "budget": budget,
-        "laws": {
-            sid: _laws_section(reg.space(sid), reg.metric(sid), seed, budget)
-            for sid in sorted(reg.ids())
-        },
-        "equiv": {
-            sid: equiv_check(
-                reg.space(sid), reg.metric(sid), budget, _rng(seed, f"equiv/{sid}")
-            ).to_json()
-            for sid in sorted(reg.ids())
-        },
+    return {
         "counterexample": _counterexample_section(reg),
         "transport": {
             "example": _transport_section(unit, metric, P, Q),
@@ -385,14 +378,116 @@ def _report_all(reg, seed, budget) -> dict:
         },
         "fields": _fields_section(),
     }
+
+
+def _report_all(reg, seed, budget) -> dict:
+    def space_sections(sid):
+        # one call per space, so the space's rng-less compat memo stays in
+        # the process that runs both its sections
+        space, metric = reg.space(sid), reg.metric(sid)
+        laws = _laws_section(space, metric, seed, budget)
+        return [laws, equiv_check(space, metric, budget, _rng(seed, f"equiv/{sid}")).to_json()]
+
+    shared = {}
+    per_space = _per_space(
+        sorted(reg.ids()),
+        space_sections,
+        meanwhile=lambda: shared.update(_shared_sections(reg, seed)),
+    )
+    report = {
+        "budget": budget,
+        "laws": {sid: laws for sid, (laws, _) in per_space.items()},
+        "equiv": {sid: equiv for sid, (_, equiv) in per_space.items()},
+        **shared,
+    }
+    transport = report["transport"]
     report["ok"] = (
         all(sec["ok"] for sec in report["laws"].values())
         and report["counterexample"]["ok"]
-        and report["transport"]["example"]["ok"]
-        and report["transport"]["oracle_agreement"]["agreed"] == trials
+        and transport["example"]["ok"]
+        and transport["oracle_agreement"]["agreed"] == transport["oracle_agreement"]["trials"]
         and report["fields"]["ok"]
     )
     return report
+
+
+# ---------------------------------------------------------------------------
+# per-space sections on every usable CPU
+
+
+def _jobs(count) -> int:
+    """Processes to share `count` per-space sections: one per usable CPU and
+    at most one per section; 1 without fork, or with another live thread,
+    whose locks a forked child would inherit held."""
+    forks = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    if not forks or len(sys._current_frames()) > 1:
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), count))
+
+
+def _completed(work, share) -> list:
+    """work(sid) for each id of `share` in turn, up to the first that raises."""
+    done = []
+    try:
+        for sid in share:
+            done.append(work(sid))
+    except Exception:
+        pass  # _per_space reruns that id where a serial run would raise
+    return done
+
+
+def _reap(pid, read_fd) -> bytes:
+    """Everything the child wrote, or b"" if it did not exit cleanly."""
+    try:
+        chunks = []
+        while chunk := os.read(read_fd, 1 << 16):
+            chunks.append(chunk)
+    finally:
+        os.close(read_fd)
+        _, status = os.waitpid(pid, 0)
+    return b"".join(chunks) if status == 0 else b""
+
+
+def _per_space(ids, work, meanwhile=None) -> dict:
+    """{sid: work(sid)} for every id, in the order of `ids`.
+
+    The ids are dealt round-robin, ids[k::jobs], to this process (k = 0)
+    and to jobs - 1 forked children.  A child sends its results back as
+    JSON through a pipe, so `work` must return JSON-native values (lists,
+    str keys).  This process runs its own share, then `meanwhile()` if
+    given, then reads the children's.  Ids a child did not return are run
+    here, in order, so a failing id raises as it would in a serial run.
+    """
+    ids = list(ids)
+    jobs = _jobs(len(ids))
+    children = []
+    try:
+        for k in range(1, jobs):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child leaves through os._exit, never returns
+                status = 1
+                try:
+                    os.close(read_fd)
+                    data = json.dumps(_completed(work, ids[k::jobs])).encode()
+                    with os.fdopen(write_fd, "wb") as out:
+                        out.write(data)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write_fd)
+            children.append((pid, read_fd, ids[k::jobs]))
+        results = dict(zip(ids[0::jobs], _completed(work, ids[0::jobs])))
+        if meanwhile is not None:
+            meanwhile()
+        while children:
+            pid, read_fd, share = children.pop(0)
+            data = _reap(pid, read_fd)
+            results.update(zip(share, json.loads(data) if data else []))
+    finally:
+        for pid, read_fd, _ in children:
+            _reap(pid, read_fd)
+    return {sid: results[sid] if sid in results else work(sid) for sid in ids}
 
 
 # ---------------------------------------------------------------------------
@@ -504,10 +599,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _selected_spaces(reg, chosen):
-    if chosen == "all":
-        return [reg.space(sid) for sid in sorted(reg.ids())]
-    return [reg.space(chosen)]
+def _selected_ids(reg, chosen) -> list:
+    return sorted(reg.ids()) if chosen == "all" else [chosen]
 
 
 def _read_measure(path, space) -> FinMeasure:
@@ -525,20 +618,20 @@ def run(args) -> tuple:
 def _command_body(args, reg) -> tuple:
     seed, budget = args.seed, args.budget
     if args.command == "check-compat":
-        spaces = _selected_spaces(reg, args.space)
-        sections = {
-            s.id: _compat_section(s, reg.metric(s.id), seed, budget) for s in spaces
-        }
+        sections = _per_space(
+            _selected_ids(reg, args.space),
+            lambda sid: _compat_section(reg.space(sid), reg.metric(sid), seed, budget),
+        )
         # failing compat is the expected outcome for expect=reject spaces
         ok = all(
-            sections[s.id]["ok"] or s.expect_reject for s in spaces
+            sec["ok"] or reg.space(sid).expect_reject for sid, sec in sections.items()
         ) and all(sec["equiv_ok"] for sec in sections.values())
         return {"spaces": sections}, ok
     if args.command == "check-laws":
-        sections = {
-            s.id: _laws_section(s, reg.metric(s.id), seed, budget)
-            for s in _selected_spaces(reg, args.space)
-        }
+        sections = _per_space(
+            _selected_ids(reg, args.space),
+            lambda sid: _laws_section(reg.space(sid), reg.metric(sid), seed, budget),
+        )
         return {"spaces": sections}, all(sec["ok"] for sec in sections.values())
     if args.command == "wasserstein":
         space = reg.space(args.space)

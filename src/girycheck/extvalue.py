@@ -52,7 +52,12 @@ class ExtValue:
 
     def __mul__(self, scalar):
         # scalar is a plain rational weight; 0 * inf = 0 by convention
-        c = scalar if type(scalar) is Fraction else Fraction(scalar)
+        if type(scalar) is Fraction:
+            c = scalar
+        elif isinstance(scalar, float):
+            raise ValueError(f"float value {scalar!r}; values must be int or Fraction")
+        else:
+            c = Fraction(scalar)
         if self._num is not None:
             return ExtValue(self._num * c)
         if c < 0:
@@ -78,7 +83,8 @@ class ExtValue:
         return self._num < other._num
 
     def __hash__(self):
-        return hash(("ExtValue", self._num))
+        # equal to its rational's hash, since ExtValue(1) == Fraction(1) == 1
+        return _INF_HASH if self._num is None else hash(self._num)
 
     def __str__(self):
         return "inf" if self.is_inf else str(self._num)
@@ -95,6 +101,7 @@ def _coerce(x):
     return NotImplemented
 
 
+_INF_HASH = hash(float("inf"))
 INF = ExtValue()
 ZERO = ExtValue(0)
 

@@ -61,6 +61,16 @@ def test_scalar_multiplication():
         F(-1) * INF
 
 
+def test_float_scalars_are_refused():
+    float_msg = r"^float value 0\.1; values must be int or Fraction$"
+    for v in (ExtValue(1), ZERO, INF):
+        with pytest.raises(ValueError, match=float_msg):
+            v * 0.1
+        with pytest.raises(ValueError, match=float_msg):
+            0.1 * v
+    assert ExtValue(1) * 3 == 3 * ExtValue(1) == ExtValue(3)
+
+
 def test_total_ordering_with_inf_greatest():
     assert ExtValue(10 ** 9) < INF
     assert not INF < INF
@@ -109,3 +119,23 @@ def test_hash_and_str():
     assert str(INF) == "inf"
     assert str(ExtValue(F(5, 3))) == "5/3"
     assert {INF, ExtValue(None)} == {INF}
+
+
+@given(rationals)
+def test_hash_agrees_with_equality(q):
+    # equal values hash alike, so sets and dicts join an ExtValue with its rational
+    assert ExtValue(q) == q and hash(ExtValue(q)) == hash(q)
+    assert len({ExtValue(q), q}) == 1
+    table = {q: "rational"}
+    table[ExtValue(q)] = "ext"
+    assert table == {q: "ext"}
+    if q.denominator == 1:
+        assert len({ExtValue(q), q, int(q)}) == 1
+
+
+def test_hash_sets_and_dicts_with_inf():
+    assert len({ExtValue(1), F(1)}) == 1
+    assert len({ExtValue(1), 1, INF, ExtValue(), ZERO, 0}) == 3
+    assert {ExtValue(F(1, 2)): "a"}[F(1, 2)] == "a"
+    assert {F(1, 2): "a"}[ExtValue(F(1, 2))] == "a"
+    assert {INF: "inf"}[ExtValue()] == "inf"
