@@ -367,8 +367,13 @@ class ExtendedLine:
 
     @cached_property
     def _grid(self) -> tuple:
-        lo = self.lo if self.lo is not None else Fraction(-8)
-        hi = self.hi if self.hi is not None else Fraction(8)
+        # a missing bound defaults to -8 or 8, or, where that would leave
+        # the grid empty, to 16 past the given bound
+        lo, hi = self.lo, self.hi
+        if lo is None:
+            lo = Fraction(-8) if hi is None or hi >= -8 else hi - 16
+        if hi is None:
+            hi = Fraction(8) if lo <= 8 else lo + 16
         step = Fraction(1, 4)
         pts = []
         x = lo
@@ -901,7 +906,8 @@ RPLUS = ConvexSpaceSpec("Rplus", SpaceKind.MIXED, ExtendedLine(Fraction(0), None
 
 
 def ext_element(v) -> Element:
-    return RINF.element(v if isinstance(v, ExtValue) else ExtValue(v))
+    """v as a point of Rinf, which holds every ExtValue."""
+    return Element(RINF.id, v if isinstance(v, ExtValue) else ExtValue(v))
 
 
 def as_ext(e: Element) -> ExtValue:
@@ -969,10 +975,11 @@ def char_map(space: ConvexSpaceSpec, ideal: Ideal) -> AffineMap:
         raise ValueError("ideal belongs to a different space")
     members = ideal.members
     label = ",".join(_payload_str(e.payload) for e in Ideal(space.id, members).member_list())
+    inf, zero = ext_element(INF), ext_element(0)
     return AffineMap(
         space,
         RINF,
-        lambda e: ext_element(INF) if e in members else ext_element(0),
+        lambda e: inf if e in members else zero,
         name=f"chi[{label}]",
     )
 

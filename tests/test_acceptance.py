@@ -51,13 +51,7 @@ from girycheck.metric_ot import (
     wasserstein,
 )
 from girycheck.registry import builtin_registry
-from girycheck.sampling import (
-    random_discrete_metric,
-    random_finite_discrete_space,
-    random_measure,
-    random_meta,
-    random_tower,
-)
+from girycheck.sampling import random_measure, random_meta
 from girycheck.spaces import (
     as_ext,
     char_map,
@@ -66,6 +60,7 @@ from girycheck.spaces import (
     is_ideal,
     labels_space,
 )
+from generators import random_discrete_metric, random_finite_discrete_space, random_tower
 
 REGISTRY = builtin_registry()
 SPACE = REGISTRY.space

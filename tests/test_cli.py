@@ -246,6 +246,15 @@ def test_malformed_measure_file_exits_two(tmp_path):
             assert "zero denominator" in res.stderr
 
 
+@pytest.mark.parametrize("bounds", ["10 -", "- -9"])
+def test_half_bounded_extline_outside_the_default_grid_is_checked(tmp_path, bounds):
+    path = write_spaces(tmp_path, f"space far kind=mixed carrier=extline {bounds}\n")
+    for command in ("check-laws", "check-compat"):
+        res = run_cli(command, "--spaces", path, "--space", "far")
+        assert res.returncode == 0, res.stderr
+        assert "Traceback" not in res.stderr
+
+
 def test_out_flag_writes_file(tmp_path):
     out = tmp_path / "report.json"
     res = run_cli("fields-demo", "--format", "json", "--out", str(out))

@@ -21,7 +21,7 @@ from girycheck.measures import (
     pushforward,
     to_text,
 )
-from girycheck.sampling import random_measure, random_meta, random_tower
+from girycheck.sampling import random_measure, random_meta
 from girycheck.spaces import (
     RINF,
     AffineMap,
@@ -35,6 +35,7 @@ from girycheck.spaces import (
     ext_element,
     payload_sort_key,
 )
+from generators import random_tower
 
 REG = builtin_spaces()
 UNIT = REG["unit_interval"]

@@ -28,12 +28,9 @@ from girycheck.metric_ot import (
     table_metric,
     wasserstein,
 )
-from girycheck.sampling import (
-    random_discrete_metric,
-    random_finite_discrete_space,
-    random_measure,
-)
+from girycheck.sampling import random_measure
 from girycheck.spaces import Element, builtin_spaces, product_space
+from generators import random_discrete_metric, random_finite_discrete_space
 
 REG = builtin_spaces()
 UNIT = REG["unit_interval"]

@@ -2,9 +2,10 @@
 
 `FinMeasure.from_pairs` merges atoms by sorting, `mu` flattens on ints,
 `combine2` checks its two weights itself, `expectation_functional` sums on
-ints, and `verify_mult_law` builds a MetaMeasure only for a witness.  Each
-is checked here against the code it replaced, kept verbatim as
-`_reference_*`.
+ints, `verify_mult_law` builds a MetaMeasure only for a witness,
+`random_measure` builds its measure on integer 24ths without `from_pairs`,
+and `char_map` hands out two prebuilt values.  Each is checked here against
+the code it replaced, kept verbatim as `_reference_*`.
 """
 
 import random
@@ -23,6 +24,7 @@ from girycheck.algebra import (
     user_algebra,
     verify_mult_law,
 )
+from girycheck.cli import parse_space_file
 from girycheck.extvalue import INF, ExtValue, ext_sum
 from girycheck.measures import (
     FinMeasure,
@@ -33,7 +35,13 @@ from girycheck.measures import (
     expectation_functional,
     mu,
 )
-from girycheck.sampling import random_measure, random_meta, random_meta_pairs, random_weights
+from girycheck.sampling import (
+    _TWENTY_FOURTHS,
+    random_measure,
+    random_meta,
+    random_meta_pairs,
+    random_weights,
+)
 from girycheck.spaces import (
     P_GRID,
     RINF,
@@ -43,10 +51,16 @@ from girycheck.spaces import (
     _check_unit_mass,
     as_ext,
     builtin_spaces,
+    char_map,
     combine,
     combine2,
+    enumerate_ideals,
     ext_element,
+    extended_line_space,
+    interval_space,
+    labels_space,
     payload_sort_key,
+    product_space,
 )
 from girycheck.verdicts import failed, passed
 
@@ -119,6 +133,26 @@ def _reference_random_meta(rng, space, max_outer=3, max_atoms=3):
     inner = [random_measure(rng, space, max_atoms) for _ in range(k)]
     ws = random_weights(rng, k)
     return MetaMeasure.from_pairs(space.id, zip(inner, ws))
+
+
+def _reference_random_weights(rng, n):
+    """n nonnegative Fractions with denominator dividing 24, summing to 1."""
+    if n < 1:
+        raise ValueError("need at least one weight")
+    cuts = sorted(rng.randint(0, 24) for _ in range(n - 1))
+    bounds = [0] + cuts + [24]
+    return [_TWENTY_FOURTHS[b - a] for a, b in zip(bounds, bounds[1:])]
+
+
+def _reference_random_measure(rng, space, max_atoms=4):
+    k = rng.randint(1, max_atoms)
+    elems = [space.sample_element(rng) for _ in range(k)]
+    ws = _reference_random_weights(rng, k)
+    return FinMeasure.from_pairs(space.id, zip(elems, ws))
+
+
+def _reference_ext_element(v):
+    return RINF.element(v if isinstance(v, ExtValue) else ExtValue(v))
 
 
 def _reference_verify_mult_law(h, budget=300, rng=None):
@@ -419,3 +453,77 @@ def test_mult_law_witness_equals_the_reference_on_a_broken_operator(sid, seed):
     assert not want.ok
     assert got == want
     assert a.getstate() == b.getstate()
+
+
+# ---------------------------------------------------------------------------
+# random_measure on integer 24ths, and char_map's prebuilt values
+
+# the branched space of ROADMAP item 2, as its space file declares it
+WYE_FILE = """\
+space J kind=geometric carrier=interval 0 1
+space tri kind=discrete carrier=labels A B C rule=max
+glue A@0 -> B@1/2
+glue B@0 -> C@1/2
+space wye kind=mixed carrier=semidirect tri A:J B:J C:J
+"""
+EXTRA_SPACES = ("wye", "labels-x-interval", "far-above", "far-below")
+
+
+@pytest.fixture(scope="module")
+def extra_spaces(tmp_path_factory):
+    path = tmp_path_factory.mktemp("spaces") / "wye.txt"
+    path.write_text(WYE_FILE)
+    labels = labels_space("abc", ("a", "b", "c"), "min")
+    return {
+        "wye": parse_space_file(str(path)).space("wye"),
+        "labels-x-interval": product_space(labels, interval_space("J", 0, 1), "abcxJ"),
+        "far-above": extended_line_space("far-above", 10, None),
+        "far-below": extended_line_space("far-below", None, -9),
+    }
+
+
+@pytest.mark.parametrize("sid", sorted(REG) + list(EXTRA_SPACES))
+def test_random_measure_draws_like_the_reference(sid, extra_spaces):
+    space = REG[sid] if sid in REG else extra_spaces[sid]
+    for max_atoms in range(1, 7):
+        for seed in (0, 1, 2026):
+            a, b = random.Random(seed), random.Random(seed)
+            for _ in range(25):
+                got = random_measure(a, space, max_atoms)
+                assert got == _reference_random_measure(b, space, max_atoms)
+                assert a.getstate() == b.getstate()
+                assert all(type(w) is Fraction for _, w in got.atoms)
+                assert all(space.element(e.payload) == e for e, _ in got.atoms)
+
+
+def test_random_weights_draw_like_the_reference():
+    a, b = random.Random(3), random.Random(3)
+    for n in list(range(1, 9)) * 20:
+        got = random_weights(a, n)
+        assert got == _reference_random_weights(b, n)
+        assert all(type(w) is Fraction for w in got)
+        assert a.getstate() == b.getstate()
+    with pytest.raises(ValueError, match="need at least one weight"):
+        random_weights(a, 0)
+
+
+@pytest.mark.parametrize(
+    "v", [INF, ExtValue(3), ExtValue(F(-1, 2)), 0, 7, -5, F(1, 3), F(-7, 2), 0.1, "x"]
+)
+def test_ext_element_equals_the_reference(v):
+    got, want = _outcome(ext_element, v), _outcome(_reference_ext_element, v)
+    assert got == want
+    if got[0] == "ok":
+        assert type(got[1].payload) is ExtValue
+        assert hash(got[1]) == hash(want[1])
+
+
+@pytest.mark.parametrize("sid", sorted(s for s in REG if REG[s].is_finite))
+def test_char_map_values_equal_the_reference(sid):
+    space = REG[sid]
+    for ideal in enumerate_ideals(space):
+        m = char_map(space, ideal)
+        for e in space.enumerate_elements():
+            want = _reference_ext_element(INF if e in ideal.members else 0)
+            assert m(e) == want
+            assert type(m(e).payload) is ExtValue

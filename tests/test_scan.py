@@ -27,7 +27,6 @@ from girycheck.metric_ot import (
     default_metric,
     table_metric,
 )
-from girycheck.sampling import random_discrete_metric, random_finite_discrete_space
 from girycheck.spaces import (
     P_GRID,
     AffineMap,
@@ -41,6 +40,7 @@ from girycheck.spaces import (
     scan,
 )
 from girycheck.verdicts import failed, passed
+from generators import random_discrete_metric, random_finite_discrete_space
 
 REG = builtin_spaces()
 UNIT = REG["unit_interval"]

@@ -186,6 +186,33 @@ def test_extended_line_absorbing_combine():
     assert combine(line, (F(0), F(1)), (inf, three)) == three
 
 
+def _quarters(lo, hi):
+    return tuple(ExtValue(F(k, 4)) for k in range(4 * lo, 4 * hi + 1))
+
+
+def test_extended_line_grids():
+    # the built-in grids are pinned as they were before the half-bounded fix
+    assert REG["Rinf"].carrier._grid == _quarters(-8, 8)
+    assert REG["Rplus"].carrier._grid == _quarters(0, 8)
+    assert REG["rinf-grid"].carrier._grid == _quarters(-4, 4)
+    assert REG["rplus-grid"].carrier._grid == _quarters(0, 4)
+    # a single bound outside [-8, 8] gets the other one 16 past it
+    for lo, hi, grid in (
+        (10, None, _quarters(10, 26)),
+        (None, -9, _quarters(-25, -9)),
+        (8, None, _quarters(8, 8)),
+        (None, -8, _quarters(-8, -8)),
+        (-20, None, _quarters(-20, 8)),
+        (None, 20, _quarters(-8, 20)),
+    ):
+        line = extended_line_space("far", lo, hi)
+        assert line.carrier._grid == grid, (lo, hi)
+        rng = random.Random(0)
+        for _ in range(50):
+            e = line.sample_element(rng)
+            assert line.element(e.payload) == e
+
+
 def test_finite_discrete_rules():
     chain = REG["chain-max"]
     a, e = chain.element("a"), chain.element("e")
