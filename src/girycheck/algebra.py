@@ -14,19 +14,20 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Optional
 
 from .measures import (
     FinMeasure,
     MetaMeasure,
-    _flatten,
+    _merged_atoms,
     dirac,
     expectation_functional,
     support,
     to_text,
 )
 from .metric_ot import ExtMetric, compat_check_2pt, default_metric
-from .sampling import random_measure, random_meta_pairs
+from .sampling import _TWENTY_FOURTHS, _draw_meta_atoms, _measure_on_24ths, random_measure
 from .spaces import (
     P_GRID,
     AffineMap,
@@ -229,17 +230,28 @@ def _meta_text(Q, space) -> str:
 
 def verify_mult_law(h: AlgebraMap, budget: int = 300, rng=None) -> Verdict:
     """h after flattening equals h after applying h inside, on random
-    two-level measures."""
+    two-level measures.
+
+    A draw stays on ints: inner weights n/24 and outer weights q/24, zero
+    q dropped, so the flattened measure merges q*n over 576 and h's outputs
+    merge q over 24, positive and summing to 576 and 24 by construction.
+    Both sides merge exactly, so the unmerged draw gives the verdict of its
+    MetaMeasure, which is built only to print a witness."""
     space = h.space
+    sid = space.id
     rng = rng or random.Random(13)
     for _ in range(budget):
-        # both sides merge exactly, so the unmerged pairs give the verdict of
-        # their MetaMeasure, which is built only to print a witness
-        pairs = [(P, q) for P, q in random_meta_pairs(rng, space, 5, 5) if q]
-        left = h(_flatten(space.id, pairs))
-        right = h(FinMeasure.from_pairs(space.id, [(h(P), q) for P, q in pairs]))
+        inner, outer = _draw_meta_atoms(rng, space, 5, 5)
+        drawn = [(atoms, q) for atoms, q in zip(inner, outer) if q]
+        flat = _merged_atoms([(e, q * n) for atoms, q in drawn for e, n in atoms])
+        left = h(FinMeasure(sid, tuple((e, Fraction(n, 576)) for e, n in flat)))
+        Ps = [_measure_on_24ths(sid, atoms) for atoms, _ in drawn]
+        images = _merged_atoms([(h(P), q) for P, (_, q) in zip(Ps, drawn)])
+        right = h(_measure_on_24ths(sid, images))
         if left != right:
-            Q = MetaMeasure.from_pairs(space.id, pairs)
+            Q = MetaMeasure.from_pairs(
+                sid, [(P, _TWENTY_FOURTHS[q]) for P, (_, q) in zip(Ps, drawn)]
+            )
             return failed(
                 {
                     "Q": _meta_text(Q, space),

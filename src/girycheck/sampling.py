@@ -19,7 +19,7 @@ _TWENTY_FOURTHS = tuple(Fraction(k, 24) for k in range(25))
 def _cut_numerators(rng: random.Random, n: int) -> list:
     """n nonnegative ints summing to 24: the gaps between n - 1 sorted
     uniform cuts of 0..24."""
-    cuts = sorted(rng.randint(0, 24) for _ in range(n - 1))
+    cuts = sorted([rng.randrange(25) for _ in range(n - 1)])
     bounds = [0] + cuts + [24]
     return [b - a for a, b in zip(bounds, bounds[1:])]
 
@@ -31,33 +31,42 @@ def random_weights(rng: random.Random, n: int):
     return [_TWENTY_FOURTHS[k] for k in _cut_numerators(rng, n)]
 
 
+def _draw_atoms(rng: random.Random, space: ConvexSpaceSpec, max_atoms: int) -> tuple:
+    """random_measure's draws: k <= max_atoms, k points of the space's own
+    sampler, then the k - 1 cuts.  Returns the measure's atoms as
+    (Element, numerator over 24): zero numerators dropped and equal points
+    merged on the ints, so the numerators are positive and sum to 24."""
+    k = rng.randrange(max_atoms) + 1
+    sample = space.carrier.sample
+    elems = [Element(space.id, sample(rng)) for _ in range(k)]
+    if k == 1:
+        return ((elems[0], 24),)
+    return _merged_atoms([(e, n) for e, n in zip(elems, _cut_numerators(rng, k)) if n])
+
+
+def _draw_meta_atoms(
+    rng: random.Random, space: ConvexSpaceSpec, max_outer: int, max_atoms: int
+) -> tuple:
+    """random_meta's draws: k <= max_outer, k inner draws of _draw_atoms,
+    then the k - 1 outer cuts.  Returns the inner atoms and the outer
+    numerators over 24, as drawn: zero numerators kept and equal inner
+    measures not merged."""
+    k = rng.randrange(max_outer) + 1
+    inner = [_draw_atoms(rng, space, max_atoms) for _ in range(k)]
+    return inner, _cut_numerators(rng, k)
+
+
+def _measure_on_24ths(space_id: str, atoms) -> FinMeasure:
+    """The FinMeasure of _draw_atoms' (Element, numerator over 24) atoms."""
+    return FinMeasure(space_id, tuple((e, _TWENTY_FOURTHS[n]) for e, n in atoms))
+
+
 def random_measure(
     rng: random.Random, space: ConvexSpaceSpec, max_atoms: int = 4
 ) -> FinMeasure:
     """k <= max_atoms points of the space's own sampler with weights on the
-    24ths grid.  The points are this space's Elements and the numerators
-    are nonnegative and sum to 24, so the measure is built directly: zero
-    numerators dropped, equal points merged on the ints."""
-    k = rng.randint(1, max_atoms)
-    sample = space.carrier.sample
-    elems = [Element(space.id, sample(rng)) for _ in range(k)]
-    if k == 1:
-        return FinMeasure(space.id, ((elems[0], _TWENTY_FOURTHS[24]),))
-    pairs = [(e, n) for e, n in zip(elems, _cut_numerators(rng, k)) if n]
-    return FinMeasure(space.id, tuple((e, _TWENTY_FOURTHS[n]) for e, n in _merged_atoms(pairs)))
-
-
-def random_meta_pairs(
-    rng: random.Random,
-    space: ConvexSpaceSpec,
-    max_outer: int = 3,
-    max_atoms: int = 3,
-) -> list:
-    """The (FinMeasure, weight) pairs of a random meta-measure, as drawn:
-    zero weights kept and equal inner measures not merged."""
-    k = rng.randint(1, max_outer)
-    inner = [random_measure(rng, space, max_atoms) for _ in range(k)]
-    return list(zip(inner, random_weights(rng, k)))
+    24ths grid, built directly from the drawn integer numerators."""
+    return _measure_on_24ths(space.id, _draw_atoms(rng, space, max_atoms))
 
 
 def random_meta(
@@ -66,4 +75,6 @@ def random_meta(
     max_outer: int = 3,
     max_atoms: int = 3,
 ) -> MetaMeasure:
-    return MetaMeasure.from_pairs(space.id, random_meta_pairs(rng, space, max_outer, max_atoms))
+    inner, outer = _draw_meta_atoms(rng, space, max_outer, max_atoms)
+    pairs = [(_measure_on_24ths(space.id, a), _TWENTY_FOURTHS[q]) for a, q in zip(inner, outer)]
+    return MetaMeasure.from_pairs(space.id, pairs)

@@ -1082,6 +1082,7 @@ def product_space(a: ConvexSpaceSpec, b: ConvexSpaceSpec, space_id=None) -> Conv
 
 def semidirect_space(branch_space, components, gluings, space_id) -> ConvexSpaceSpec:
     """components: list of (branch_label, space); gluings: list of Gluing."""
+    _check_gluing_forest(gluings)
     carrier = Branched(branch_space, tuple(components), tuple(gluings))
     # every losing->winning transition must be reachable
     labels = [lab for lab, _ in components]
@@ -1090,6 +1091,26 @@ def semidirect_space(branch_space, components, gluings, space_id) -> ConvexSpace
             if a != b and _needs_transition(branch_space, a, b):
                 carrier._transition_target(a, b)
     return ConvexSpaceSpec(space_id, SpaceKind.MIXED, carrier)
+
+
+def _check_gluing_forest(gluings) -> None:
+    """Refuse gluings whose undirected branch-label graph is not a forest:
+    a repeated pair of labels or a loop of gluings glues one pair of arms
+    twice, which no tree of arms does.  Names the first gluing that closes
+    a cycle."""
+    parent = {}
+
+    def root(label):
+        while label in parent:
+            label = parent[label]
+        return label
+
+    for g in gluings:
+        a, b = root(g.src), root(g.dst)
+        if a == b:
+            src = g.src if g.ident is None else f"{g.src}@{g.ident}"
+            raise ValueError(f"glue {src} -> {g.dst}@{g.target} closes a cycle of gluings")
+        parent[a] = b
 
 
 def _needs_transition(branch_space, a, b) -> bool:

@@ -100,6 +100,48 @@ def test_zero_denominators_are_parse_errors(tmp_path):
         assert exc.value.line == 2, line
 
 
+# the interval and the branch labels of ROADMAP item 2's space file
+ARMS_HEAD = """\
+space J kind=geometric carrier=interval 0 1
+space tri kind=discrete carrier=labels A B C rule=max
+"""
+NOT_A_TREE = {
+    "cycle": (
+        "glue A@0 -> B@1/2\nglue B@0 -> C@1/2\nglue C@0 -> A@1/2\n"
+        "space cyc kind=mixed carrier=semidirect tri A:J B:J C:J\n",
+        "cyc",
+        "glue C@0 -> A@1/2 closes a cycle",
+    ),
+    "repeat": (
+        "glue A@0 -> B@1/2\nglue A@1 -> B@1/4\nglue B@0 -> C@1/2\n"
+        "space rep kind=mixed carrier=semidirect tri A:J B:J C:J\n",
+        "rep",
+        "glue A@1 -> B@1/4 closes a cycle",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_A_TREE))
+def test_gluings_that_are_not_a_tree_are_parse_errors(tmp_path, case):
+    body, space_id, message = NOT_A_TREE[case]
+    path = write_spaces(tmp_path, ARMS_HEAD + body)
+    with pytest.raises(SpaceFileError) as exc:
+        parse_space_file(path)
+    assert exc.value.line == 6
+    assert message in str(exc.value)
+    res = run_cli("check-laws", "--spaces", path, "--space", space_id)
+    assert res.returncode == 2
+    assert f"line 6: {message}" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_a_tree_of_gluings_still_parses(tmp_path):
+    body = "glue A@0 -> B@1/2\nglue B@0 -> C@1/2\n"
+    body += "space wye kind=mixed carrier=semidirect tri A:J B:J C:J\n"
+    reg = parse_space_file(write_spaces(tmp_path, ARMS_HEAD + body))
+    assert len(reg.space("wye").carrier.gluings) == 2
+
+
 def test_expect_reject_flag(tmp_path):
     path = write_spaces(
         tmp_path,

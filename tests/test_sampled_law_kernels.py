@@ -2,10 +2,11 @@
 
 `FinMeasure.from_pairs` merges atoms by sorting, `mu` flattens on ints,
 `combine2` checks its two weights itself, `expectation_functional` sums on
-ints, `verify_mult_law` builds a MetaMeasure only for a witness,
-`random_measure` builds its measure on integer 24ths without `from_pairs`,
-and `char_map` hands out two prebuilt values.  Each is checked here against
-the code it replaced, kept verbatim as `_reference_*`.
+ints, `random_measure` builds its measure on integer 24ths without
+`from_pairs`, `verify_mult_law` checks each draw on its integer numerators
+and builds a MetaMeasure only for a witness, and `char_map` hands out two
+prebuilt values.  Each is checked here against the code it replaced, kept
+verbatim as `_reference_*`.
 """
 
 import random
@@ -39,7 +40,6 @@ from girycheck.sampling import (
     _TWENTY_FOURTHS,
     random_measure,
     random_meta,
-    random_meta_pairs,
     random_weights,
 )
 from girycheck.spaces import (
@@ -128,13 +128,6 @@ def _reference_expectation_functional(P, m):
     return ext_sum(terms)
 
 
-def _reference_random_meta(rng, space, max_outer=3, max_atoms=3):
-    k = rng.randint(1, max_outer)
-    inner = [random_measure(rng, space, max_atoms) for _ in range(k)]
-    ws = random_weights(rng, k)
-    return MetaMeasure.from_pairs(space.id, zip(inner, ws))
-
-
 def _reference_random_weights(rng, n):
     """n nonnegative Fractions with denominator dividing 24, summing to 1."""
     if n < 1:
@@ -155,19 +148,43 @@ def _reference_ext_element(v):
     return RINF.element(v if isinstance(v, ExtValue) else ExtValue(v))
 
 
+def _reference_random_meta_pairs(
+    rng,
+    space,
+    max_outer=3,
+    max_atoms=3,
+):
+    """The (FinMeasure, weight) pairs of a random meta-measure, as drawn:
+    zero weights kept and equal inner measures not merged."""
+    k = rng.randint(1, max_outer)
+    inner = [_reference_random_measure(rng, space, max_atoms) for _ in range(k)]
+    return list(zip(inner, _reference_random_weights(rng, k)))
+
+
+def _reference_random_meta(
+    rng,
+    space,
+    max_outer=3,
+    max_atoms=3,
+):
+    return MetaMeasure.from_pairs(
+        space.id, _reference_random_meta_pairs(rng, space, max_outer, max_atoms)
+    )
+
+
 def _reference_verify_mult_law(h, budget=300, rng=None):
     """h after flattening equals h after applying h inside, on random
     two-level measures."""
     space = h.space
     rng = rng or random.Random(13)
     for _ in range(budget):
-        Q = _reference_random_meta(rng, space, max_outer=5, max_atoms=5)
-        left = h(_reference_mu(Q))
-        inner_applied = FinMeasure.from_pairs(
-            space.id, [(h(P), q) for P, q in Q.atoms]
-        )
-        right = h(inner_applied)
+        # both sides merge exactly, so the unmerged pairs give the verdict of
+        # their MetaMeasure, which is built only to print a witness
+        pairs = [(P, q) for P, q in _reference_random_meta_pairs(rng, space, 5, 5) if q]
+        left = h(_flatten(space.id, pairs))
+        right = h(FinMeasure.from_pairs(space.id, [(h(P), q) for P, q in pairs]))
         if left != right:
+            Q = MetaMeasure.from_pairs(space.id, pairs)
             return failed(
                 {
                     "Q": _meta_text(Q, space),
@@ -413,7 +430,35 @@ def test_expectation_of_inf_is_inf_and_errors_pass_through():
 
 
 # ---------------------------------------------------------------------------
-# the multiplication law without a canonical MetaMeasure per draw
+# the multiplication law on integer numerators, without a canonical
+# MetaMeasure per draw
+
+# the branched space of ROADMAP item 2, as its space file declares it
+WYE_FILE = """\
+space J kind=geometric carrier=interval 0 1
+space tri kind=discrete carrier=labels A B C rule=max
+glue A@0 -> B@1/2
+glue B@0 -> C@1/2
+space wye kind=mixed carrier=semidirect tri A:J B:J C:J
+"""
+EXTRA_SPACES = ("wye", "labels-x-interval", "far-above", "far-below", "six-max", "six-min")
+
+
+@pytest.fixture(scope="module")
+def extra_spaces(tmp_path_factory):
+    path = tmp_path_factory.mktemp("spaces") / "wye.txt"
+    path.write_text(WYE_FILE)
+    labels = labels_space("abc", ("a", "b", "c"), "min")
+    return {
+        "wye": parse_space_file(str(path)).space("wye"),
+        "labels-x-interval": product_space(labels, interval_space("J", 0, 1), "abcxJ"),
+        "far-above": extended_line_space("far-above", 10, None),
+        "far-below": extended_line_space("far-below", None, -9),
+        # finite-small's largest label spaces
+        "six-max": labels_space("six-max", tuple("abcdef"), "max"),
+        "six-min": labels_space("six-min", tuple("abcdef"), "min"),
+    }
+
 
 
 @pytest.mark.parametrize("sid", sorted(REG))
@@ -426,9 +471,9 @@ def test_random_meta_pairs_draw_like_random_meta(sid):
 
 
 @pytest.mark.parametrize("seed", [13, 2026])
-@pytest.mark.parametrize("sid", sorted(REG))
-def test_mult_law_equals_the_reference(sid, seed):
-    space = REG[sid]
+@pytest.mark.parametrize("sid", sorted(REG) + ["six-max", "six-min"])
+def test_mult_law_equals_the_reference(sid, seed, extra_spaces):
+    space = REG[sid] if sid in REG else extra_spaces[sid]
     h = build_algebra(space, rng=random.Random(0))
     if isinstance(h, Rejection):
         return
@@ -436,6 +481,63 @@ def test_mult_law_equals_the_reference(sid, seed):
     got = verify_mult_law(h, 60, a)
     assert got == _reference_verify_mult_law(h, 60, b)
     assert a.getstate() == b.getstate()
+
+
+def test_mult_law_equals_the_reference_where_wye_fails(extra_spaces):
+    # the built operator on wye fails the law at this stream and budget
+    # (ROADMAP item 2), so a real witness goes through both paths
+    h = build_algebra(extra_spaces["wye"], rng=random.Random(0))
+    a, b = random.Random(2), random.Random(2)
+    got = verify_mult_law(h, 3000, a)
+    want = _reference_verify_mult_law(h, 3000, b)
+    assert not want.ok
+    assert got == want
+    assert a.getstate() == b.getstate()
+
+
+def _recording(h):
+    """An operator with h's own rule that keeps every measure it is fed."""
+    fed = []
+
+    def rule(P):
+        fed.append(P)
+        return h.rule(P)
+
+    return user_algebra(h.space, rule), fed
+
+
+@pytest.mark.parametrize("sid", sorted(REG) + list(EXTRA_SPACES))
+def test_mult_law_feeds_h_the_reference_measures(sid, extra_spaces):
+    # the same measures, with the same weights, reach h in the same order:
+    # outer zeros dropped, the left side merged over 576ths and the right
+    # side merged over 24ths
+    space = REG[sid] if sid in REG else extra_spaces[sid]
+    h = build_algebra(space, rng=random.Random(0))
+    if isinstance(h, Rejection):
+        return
+    (got_h, got), (want_h, want) = _recording(h), _recording(h)
+    a, b = random.Random(f"fed/{sid}"), random.Random(f"fed/{sid}")
+    assert verify_mult_law(got_h, 80, a) == _reference_verify_mult_law(want_h, 80, b)
+    assert got == want
+    assert all(type(w) is Fraction and w > 0 for P in got for _, w in P.atoms)
+    assert a.getstate() == b.getstate()
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP 2(a): wye keeps a glued point on the losing arm",
+)
+def test_mult_law_holds_on_the_wye_meta_measure(extra_spaces):
+    # ROADMAP item 2's Q: today h(mu Q) is B@0 but h(G h Q) is B@1/8
+    wye = extra_spaces["wye"]
+    h = build_algebra(wye, rng=random.Random(0))
+    point = wye.parse_element
+    P1 = FinMeasure.from_pairs(wye.id, [(point("A@15/32"), 1)])
+    P2 = FinMeasure.from_pairs(wye.id, [(point("C@3/4"), F(1, 3)), (point("C@3/8"), F(2, 3))])
+    Q = MetaMeasure.from_pairs(wye.id, [(P1, F(1, 4)), (P2, F(3, 4))])
+    inner_applied = FinMeasure.from_pairs(wye.id, [(h(P), q) for P, q in Q.atoms])
+    assert h(mu(Q)) == h(inner_applied)
 
 
 def _heaviest_atom(P):
@@ -457,29 +559,6 @@ def test_mult_law_witness_equals_the_reference_on_a_broken_operator(sid, seed):
 
 # ---------------------------------------------------------------------------
 # random_measure on integer 24ths, and char_map's prebuilt values
-
-# the branched space of ROADMAP item 2, as its space file declares it
-WYE_FILE = """\
-space J kind=geometric carrier=interval 0 1
-space tri kind=discrete carrier=labels A B C rule=max
-glue A@0 -> B@1/2
-glue B@0 -> C@1/2
-space wye kind=mixed carrier=semidirect tri A:J B:J C:J
-"""
-EXTRA_SPACES = ("wye", "labels-x-interval", "far-above", "far-below")
-
-
-@pytest.fixture(scope="module")
-def extra_spaces(tmp_path_factory):
-    path = tmp_path_factory.mktemp("spaces") / "wye.txt"
-    path.write_text(WYE_FILE)
-    labels = labels_space("abc", ("a", "b", "c"), "min")
-    return {
-        "wye": parse_space_file(str(path)).space("wye"),
-        "labels-x-interval": product_space(labels, interval_space("J", 0, 1), "abcxJ"),
-        "far-above": extended_line_space("far-above", 10, None),
-        "far-below": extended_line_space("far-below", None, -9),
-    }
 
 
 @pytest.mark.parametrize("sid", sorted(REG) + list(EXTRA_SPACES))

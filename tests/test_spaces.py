@@ -260,6 +260,21 @@ def test_branched_rejects_unknown_labels():
         VEE.element(("X", F(1, 2)))
 
 
+@pytest.mark.parametrize(
+    "glues, named",
+    [
+        # the two arms glued twice, once each way
+        ([Gluing("L", "H", F(0), ident=F(0)), Gluing("H", "L", F(1), ident=F(1))], "H@1 -> L@1"),
+        # an arm glued to itself by a constant transition
+        ([Gluing("L", "H", F(0)), Gluing("L", "L", F(0))], "L -> L@0"),
+    ],
+)
+def test_semidirect_space_refuses_gluings_that_are_not_a_forest(glues, named):
+    branches = labels_space("lh", ("L", "H"), "max")
+    with pytest.raises(ValueError, match=f"^glue {named} closes a cycle of gluings$"):
+        semidirect_space(branches, [("L", UNIT), ("H", UNIT)], glues, "loop")
+
+
 def test_point_str_parse_round_trip():
     rng = random.Random(7)
     for sid in ("unit_interval", "box2", "simplex3", "rinf-grid", "chain-max", "GxD", "vee"):
