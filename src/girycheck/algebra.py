@@ -12,8 +12,9 @@ and the rejection is as much a result as a constructed operator.
 
 from __future__ import annotations
 
+import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -50,7 +51,7 @@ from .spaces import (
     as_ext,
     projection,
 )
-from .verdicts import Verdict, failed, passed
+from .verdicts import Verdict, check_all, failed
 
 
 @dataclass(frozen=True)
@@ -218,10 +219,13 @@ def verify_unit_law(h: AlgebraMap, budget: int = 200, rng=None) -> Verdict:
         rng = rng or random.Random(11)
         elems = space.landmark_elements()
         elems += [space.sample_element(rng) for _ in range(budget)]
-    for a in elems:
-        if h(dirac(a)) != a:
-            return failed({"a": space.point_str(a), "got": space.point_str(h(dirac(a)))})
-    return passed(exhaustive, note="" if exhaustive else f"landmarks + {budget} samples")
+
+    def fixed(a):
+        got = h(dirac(a))
+        return None if got == a else {"a": space.point_str(a), "got": space.point_str(got)}
+
+    note = "" if exhaustive else f"landmarks + {budget} samples"
+    return check_all(elems, fixed, exhaustive, note)
 
 
 def _meta_text(Q, space) -> str:
@@ -240,48 +244,44 @@ def verify_mult_law(h: AlgebraMap, budget: int = 300, rng=None) -> Verdict:
     space = h.space
     sid = space.id
     rng = rng or random.Random(13)
-    for _ in range(budget):
-        inner, outer = _draw_meta_atoms(rng, space, 5, 5)
-        drawn = [(atoms, q) for atoms, q in zip(inner, outer) if q]
+
+    def commutes(draw):
+        drawn = [(atoms, q) for atoms, q in zip(*draw) if q]
         flat = _merged_atoms([(e, q * n) for atoms, q in drawn for e, n in atoms])
         left = h(FinMeasure(sid, tuple((e, Fraction(n, 576)) for e, n in flat)))
         Ps = [_measure_on_24ths(sid, atoms) for atoms, _ in drawn]
         images = _merged_atoms([(h(P), q) for P, (_, q) in zip(Ps, drawn)])
         right = h(_measure_on_24ths(sid, images))
-        if left != right:
-            Q = MetaMeasure.from_pairs(
-                sid, [(P, _TWENTY_FOURTHS[q]) for P, (_, q) in zip(Ps, drawn)]
-            )
-            return failed(
-                {
-                    "Q": _meta_text(Q, space),
-                    "flatten_then_h": space.point_str(left),
-                    "h_inside_then_h": space.point_str(right),
-                }
-            )
-    return passed(exhaustive=False, note=f"{budget} random meta-measures")
+        if left == right:
+            return None
+        Q = MetaMeasure.from_pairs(sid, [(P, _TWENTY_FOURTHS[q]) for P, (_, q) in zip(Ps, drawn)])
+        return {
+            "Q": _meta_text(Q, space),
+            "flatten_then_h": space.point_str(left),
+            "h_inside_then_h": space.point_str(right),
+        }
+
+    draws = (_draw_meta_atoms(rng, space, 5, 5) for _ in range(budget))
+    return check_all(draws, commutes, note=f"{budget} random meta-measures")
 
 
 def verify_coseparator_property(h: AlgebraMap, maps, budget: int = 200, rng=None) -> Verdict:
     """m(h(P)) = E_P(m) for every test map m."""
     space = h.space
     rng = rng or random.Random(17)
-    for _ in range(budget):
-        P = random_measure(rng, space, max_atoms=4)
+
+    def commutes(P):
         a = h(P)
         for m in maps:
             lhs = as_ext(m(a))
             rhs = expectation_functional(P, m)
             if lhs != rhs:
-                return failed(
-                    {
-                        "P": to_text(P, space),
-                        "map": m.name,
-                        "m_of_h": str(lhs),
-                        "expectation": str(rhs),
-                    }
-                )
-    return passed(exhaustive=False, note=f"{budget} random measures x {len(maps)} maps")
+                text = to_text(P, space)
+                return {"P": text, "map": m.name, "m_of_h": str(lhs), "expectation": str(rhs)}
+        return None
+
+    measures = (random_measure(rng, space, max_atoms=4) for _ in range(budget))
+    return check_all(measures, commutes, note=f"{budget} random measures x {len(maps)} maps")
 
 
 def support_condition_check(h: AlgebraMap, budget: int = 300, rng=None) -> Optional[Verdict]:
@@ -292,73 +292,70 @@ def support_condition_check(h: AlgebraMap, budget: int = 300, rng=None) -> Optio
     space = h.space
     carrier = space.carrier
     rng = rng or random.Random(19)
+    measures = (random_measure(rng, space, max_atoms=4) for _ in range(budget))
 
+    # strays(P, out) is None when out lands in Supp(P) along the carrier's
+    # discrete directions, else the witness entries beyond P and h
     if isinstance(carrier, FiniteDiscrete):
         elems = space.enumerate_elements()
         # all two-point measures over the p-grid, then random larger ones
-        for i, x in enumerate(elems):
-            for y in elems[i + 1 :]:
-                for p in P_GRID:
-                    P = FinMeasure.from_pairs(space.id, [(x, p), (y, 1 - p)])
-                    out = h(P)
-                    if out not in support(P):
-                        return failed(
-                            {"P": to_text(P, space), "h": space.point_str(out)}
-                        )
-        for _ in range(budget):
-            P = random_measure(rng, space, max_atoms=4)
-            out = h(P)
-            if out not in support(P):
-                return failed({"P": to_text(P, space), "h": space.point_str(out)})
-        return passed(exhaustive=False, note="all grid pairs + random measures")
+        pairs = (
+            FinMeasure.from_pairs(space.id, [(x, p), (y, 1 - p)])
+            for i, x in enumerate(elems)
+            for y in elems[i + 1 :]
+            for p in P_GRID
+        )
+        measures = itertools.chain(pairs, measures)
+        note = "all grid pairs + random measures"
 
-    if isinstance(carrier, ExtendedLine):
+        def strays(P, out):
+            return None if out in support(P) else {}
+
+    elif isinstance(carrier, ExtendedLine):
         # the absorbing point is the only discrete direction here
-        hits = 0
-        for _ in range(budget):
-            P = random_measure(rng, space, max_atoms=4)
-            if any(e.payload.is_inf for e, _ in P.atoms):
-                hits += 1
-                if not h(P).payload.is_inf:
-                    return failed({"P": to_text(P, space), "h": space.point_str(h(P))})
-        return passed(exhaustive=False, note=f"{hits} absorbing-support cases")
+        measures = (P for P in measures if any(e.payload.is_inf for e, _ in P.atoms))
+        note = ""  # the count of these cases, filled in below
 
-    if isinstance(carrier, Product):
-        discrete_axes = [
-            k
-            for k, comp in enumerate(carrier.components)
-            if isinstance(comp.carrier, FiniteDiscrete)
-        ]
-        if not discrete_axes:
+        def strays(P, out):
+            return None if out.payload.is_inf else {}
+
+    elif isinstance(carrier, Product):
+        axes = [k for k, comp in enumerate(carrier.components)
+                if isinstance(comp.carrier, FiniteDiscrete)]
+        if not axes:
             return None
-        for _ in range(budget):
-            P = random_measure(rng, space, max_atoms=4)
-            out = h(P)
-            for k in discrete_axes:
-                seen = {e.payload[k] for e, _ in P.atoms}
-                if out.payload[k] not in seen:
-                    return failed(
-                        {"P": to_text(P, space), "axis": str(k), "h": space.point_str(out)}
-                    )
-        return passed(exhaustive=False, note=f"{budget} random measures, discrete axes")
+        note = f"{budget} random measures, discrete axes"
 
-    if isinstance(carrier, Branched):
-        for _ in range(budget):
-            P = random_measure(rng, space, max_atoms=4)
-            out = h(P)
+        def strays(P, out):
+            for k in axes:
+                if out.payload[k] not in {e.payload[k] for e, _ in P.atoms}:
+                    return {"axis": str(k)}
+            return None
+
+    elif isinstance(carrier, Branched):
+        note = f"{budget} random measures, branch labels"
+
+        def strays(P, out):
             labels = {e.payload[0] for e, _ in P.atoms}
             # the glue point is canonical on its own branch; accept either side
             ok = out.payload[0] in labels or any(
-                g.ident is not None
-                and out.payload == (g.src, g.ident)
-                and g.dst in labels
+                g.ident is not None and out.payload == (g.src, g.ident) and g.dst in labels
                 for g in carrier.gluings
             )
-            if not ok:
-                return failed({"P": to_text(P, space), "h": space.point_str(out)})
-        return passed(exhaustive=False, note=f"{budget} random measures, branch labels")
+            return None if ok else {}
 
-    return None
+    else:
+        return None
+
+    def lands(P):
+        out = h(P)
+        more = strays(P, out)
+        return None if more is None else {"P": to_text(P, space), "h": space.point_str(out), **more}
+
+    verdict = check_all(measures, lands, note=note)
+    if isinstance(carrier, ExtendedLine) and verdict.ok:
+        return replace(verdict, note=f"{verdict.checked} absorbing-support cases")
+    return verdict
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,11 @@ labels; rational grids and finite measure families both work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .measures import FinMeasure, measure_eval
-from .verdicts import Verdict, failed, passed
+from .verdicts import Verdict, check_all
 
 MAX_GENERATORS = 16
 DYADIC_DEPTH_CAP = 8
@@ -164,15 +164,12 @@ def agreement_check(P: FinMeasure, Q: FinMeasure, field: SetField) -> Verdict:
         measure_eval(P, g) == measure_eval(Q, g) for g in field.generators
     )
     note = "generators agree" if gens_agree else "generators already differ"
-    for a in field.atoms:
+
+    def agree(a):
         pv, qv = measure_eval(P, a), measure_eval(Q, a)
-        if pv != qv:
-            return failed(
-                {
-                    "member": "{" + ", ".join(sorted(str(x) for x in a)) + "}",
-                    "P": str(pv),
-                    "Q": str(qv),
-                },
-                note=note,
-            )
-    return passed(exhaustive=True, note=note)
+        if pv == qv:
+            return None
+        member = "{" + ", ".join(sorted(str(x) for x in a)) + "}"
+        return {"member": member, "P": str(pv), "Q": str(qv)}
+
+    return replace(check_all(field.atoms, agree, exhaustive=True), note=note)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -40,7 +40,7 @@ from .spaces import (
     combine2,
     scan,
 )
-from .verdicts import FAIL, PASS, SAMPLED_PASS, Verdict, failed, passed
+from .verdicts import FAIL, PASS, SAMPLED_PASS, Verdict, check_all, failed
 
 # exhaustive compat scans are capped at this many inequality evaluations
 EXHAUSTIVE_CAP = 300_000
@@ -551,19 +551,20 @@ def lipschitz_check(
     """d(eps(P), eps(Q)) <= W1(P, Q) on random measure pairs."""
     space = space if space is not None else eps.space
     rng = rng or random.Random(7)
-    for _ in range(budget):
-        P = random_measure(rng, space, max_atoms)
-        Q = random_measure(rng, space, max_atoms)
+
+    def within(pair):
+        P, Q = pair
         lhs = metric(eps(P), eps(Q))
         rhs = wasserstein(P, Q, metric).cost
-        if not lhs <= rhs:
-            return failed(
-                {
-                    "P": to_text(P, space),
-                    "Q": to_text(Q, space),
-                    "lhs": str(lhs),
-                    "rhs": str(rhs),
-                },
-                note="expectation map is not 1-Lipschitz here",
-            )
-    return passed(exhaustive=False, note=f"{budget} random pairs")
+        if lhs <= rhs:
+            return None
+        return {"P": to_text(P, space), "Q": to_text(Q, space), "lhs": str(lhs), "rhs": str(rhs)}
+
+    pairs = (
+        (random_measure(rng, space, max_atoms), random_measure(rng, space, max_atoms))
+        for _ in range(budget)
+    )
+    verdict = check_all(pairs, within, note=f"{budget} random pairs")
+    if verdict.ok:
+        return verdict
+    return replace(verdict, note="expectation map is not 1-Lipschitz here")

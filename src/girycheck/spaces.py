@@ -35,7 +35,7 @@ from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
 from .extvalue import INF, ExtValue, parse_ext
-from .verdicts import Verdict, failed, passed
+from .verdicts import Verdict, check_all
 
 # Probability grid for affinity / compatibility / classification probes.
 # The midpoint comes first so first-found witnesses use p = 1/2.
@@ -629,29 +629,16 @@ class Branched:
         label, comp = self.components[rng.randrange(len(self.components))]
         return self.normalize((label, comp.carrier.sample(rng)))
 
+    def _arm_points(self, points):
+        """points(arm carrier) on every arm, normalized, each glued point once."""
+        normal = (self.normalize((lab, p)) for lab, c in self.components for p in points(c.carrier))
+        return list(dict.fromkeys(normal))
+
     def landmarks(self):
-        out = []
-        for label, comp in self.components:
-            for p in comp.carrier.landmarks():
-                out.append(self.normalize((label, p)))
-        seen, uniq = set(), []
-        for p in out:
-            if p not in seen:
-                seen.add(p)
-                uniq.append(p)
-        return uniq
+        return self._arm_points(lambda c: c.landmarks())
 
     def enumerate_points(self):
-        if not self.is_finite:
-            return None
-        out, seen = [], set()
-        for label, comp in self.components:
-            for p in comp.carrier.enumerate_points():
-                q = self.normalize((label, p))
-                if q not in seen:
-                    seen.add(q)
-                    out.append(q)
-        return out
+        return self._arm_points(lambda c: c.enumerate_points()) if self.is_finite else None
 
     def point_str(self, p):
         label, inner = p
@@ -830,11 +817,7 @@ def scan(
             return head + tuple(space.sample_element(rng) for _ in range(arity))
 
         cases = (draw() for _ in range(budget))
-    for case in cases:
-        witness = check(*case)
-        if witness is not None:
-            return failed(witness)
-    return passed(exhaustive, "" if exhaustive else note)
+    return check_all(cases, lambda case: check(*case), exhaustive, "" if exhaustive else note)
 
 
 # ---------------------------------------------------------------------------
@@ -1021,23 +1004,23 @@ def discrete_poset(space: ConvexSpaceSpec) -> PosetReport:
 
     n = len(elems)
     le_pairs = tuple((elems[y], elems[x]) for y in range(n) for x in range(n) if le(y, x))
-    witness = {}
-    for (i, x), (j, y) in itertools.combinations(enumerate(elems), 2):
+
+    def comparable(pair):
+        (i, x), (j, y) = pair
         for p, t in zip(P_GRID, tables):
             if t[i][j] not in (i, j):
-                witness = {
+                return {
                     "x": space.point_str(x),
                     "y": space.point_str(y),
                     "combines_to": space.point_str(elems[t[i][j]]),
                     "p": str(p),
                 }
-                break
-        if witness:
-            break
-        if not le(i, j) and not le(j, i):
-            witness = {"x": space.point_str(x), "y": space.point_str(y), "incomparable": "true"}
-            break
-    return PosetReport(space.id, le_pairs, not witness, witness)
+        if le(i, j) or le(j, i):
+            return None
+        return {"x": space.point_str(x), "y": space.point_str(y), "incomparable": "true"}
+
+    total = check_all(itertools.combinations(enumerate(elems), 2), comparable)
+    return PosetReport(space.id, le_pairs, total.ok, total.witness)
 
 
 # ---------------------------------------------------------------------------
@@ -1082,8 +1065,8 @@ def product_space(a: ConvexSpaceSpec, b: ConvexSpaceSpec, space_id=None) -> Conv
 
 def semidirect_space(branch_space, components, gluings, space_id) -> ConvexSpaceSpec:
     """components: list of (branch_label, space); gluings: list of Gluing."""
-    _check_gluing_forest(gluings)
     carrier = Branched(branch_space, tuple(components), tuple(gluings))
+    _check_gluings(carrier)
     # every losing->winning transition must be reachable
     labels = [lab for lab, _ in components]
     for a in labels:
@@ -1093,11 +1076,11 @@ def semidirect_space(branch_space, components, gluings, space_id) -> ConvexSpace
     return ConvexSpaceSpec(space_id, SpaceKind.MIXED, carrier)
 
 
-def _check_gluing_forest(gluings) -> None:
-    """Refuse gluings whose undirected branch-label graph is not a forest:
-    a repeated pair of labels or a loop of gluings glues one pair of arms
-    twice, which no tree of arms does.  Names the first gluing that closes
-    a cycle."""
+def _check_gluings(carrier) -> None:
+    """Refuse a gluing that names a label with no arm or a point off its
+    arm, and gluings whose undirected branch-label graph is not a forest: a
+    repeated pair of labels or a loop of gluings glues one pair of arms
+    twice, which no tree of arms does.  Names the first gluing at fault."""
     parent = {}
 
     def root(label):
@@ -1105,11 +1088,19 @@ def _check_gluing_forest(gluings) -> None:
             label = parent[label]
         return label
 
-    for g in gluings:
+    for g in carrier.gluings:
+        src = g.src if g.ident is None else f"{g.src}@{g.ident}"
+        name = f"glue {src} -> {g.dst}@{g.target}"
+        for label, point in ((g.src, g.ident), (g.dst, g.target)):
+            try:
+                arm = carrier._component(label)
+                if point is not None:
+                    arm.element(point)
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from exc
         a, b = root(g.src), root(g.dst)
         if a == b:
-            src = g.src if g.ident is None else f"{g.src}@{g.ident}"
-            raise ValueError(f"glue {src} -> {g.dst}@{g.target} closes a cycle of gluings")
+            raise ValueError(f"{name} closes a cycle of gluings")
         parent[a] = b
 
 

@@ -20,12 +20,14 @@ class Verdict:
     property was verified exhaustively (or is exact by construction);
     "sampled-pass" means a sampling budget was exhausted without finding a
     counterexample.  witness carries the offending data for failures, as
-    strings so it can go straight into a JSON report.
+    strings so it can go straight into a JSON report; checked counts the
+    instances run, the failing one included, and stays out of it and ==.
     """
 
     status: str
     witness: dict = field(default_factory=dict)
     note: str = ""
+    checked: int = field(default=0, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -46,3 +48,14 @@ def passed(exhaustive: bool, note: str = "") -> Verdict:
 
 def failed(witness: dict, note: str = "") -> Verdict:
     return Verdict(FAIL, witness=witness, note=note)
+
+
+def check_all(cases, check, exhaustive: bool = False, note: str = "") -> Verdict:
+    """Run check on each case in order, lazily, until it returns a witness
+    dict: the first witness fails the verdict, else it passes with note."""
+    checked = 0
+    for checked, case in enumerate(cases, 1):
+        witness = check(case)
+        if witness is not None:
+            return Verdict(FAIL, witness, checked=checked)
+    return Verdict(PASS if exhaustive else SAMPLED_PASS, note=note, checked=checked)

@@ -1,5 +1,7 @@
 """Seeded generators that only the tests draw from: depth-three measure
-towers, small random label spaces and random metrics on their labels.
+towers, small random label spaces and random metrics on their labels; and
+the reference oracles that more than one test file checks against, written
+from their definitions.
 
 Everything takes an explicit random.Random, as `girycheck.sampling` does.
 """
@@ -9,7 +11,23 @@ import string
 from fractions import Fraction
 
 from girycheck.sampling import random_meta, random_weights
-from girycheck.spaces import ConvexSpaceSpec, labels_space
+from girycheck.spaces import ConvexSpaceSpec, labels_space, payload_sort_key
+
+
+def reference_random_weights(rng: random.Random, n: int):
+    """n nonnegative Fractions over 24, summing to 1: the gaps between n - 1
+    sorted uniform cuts of 0..24."""
+    if n < 1:
+        raise ValueError("need at least one weight")
+    cuts = sorted(rng.randint(0, 24) for _ in range(n - 1))
+    bounds = [0] + cuts + [24]
+    return [Fraction(b - a, 24) for a, b in zip(bounds, bounds[1:])]
+
+
+def reference_canonical_atoms(merged: dict) -> tuple:
+    """A measure's (Element, weight) items in canonical order: sorted on
+    payload_sort_key of the payload."""
+    return tuple(sorted(merged.items(), key=lambda kv: payload_sort_key(kv[0].payload)))
 
 
 def random_tower(rng: random.Random, space: ConvexSpaceSpec):

@@ -110,28 +110,46 @@ NOT_A_TREE = {
         "glue A@0 -> B@1/2\nglue B@0 -> C@1/2\nglue C@0 -> A@1/2\n"
         "space cyc kind=mixed carrier=semidirect tri A:J B:J C:J\n",
         "cyc",
+        6,
         "glue C@0 -> A@1/2 closes a cycle",
     ),
     "repeat": (
         "glue A@0 -> B@1/2\nglue A@1 -> B@1/4\nglue B@0 -> C@1/2\n"
         "space rep kind=mixed carrier=semidirect tri A:J B:J C:J\n",
         "rep",
+        6,
         "glue A@1 -> B@1/4 closes a cycle",
+    ),
+    # an endpoint off its unit-interval arm: h once returned the non-point B@2
+    "endpoint-off-arm": (
+        "glue A@0 -> B@3\nglue B@0 -> C@1/2\n"
+        "space off kind=mixed carrier=semidirect tri A:J B:J C:J\n",
+        "off",
+        5,
+        "glue A@0 -> B@3: 3 is not a point of J",
+    ),
+    # once refused only as "no gluing path 'A' -> 'C'"
+    "not-a-branch": (
+        "glue A@0 -> B@1/2\nglue B@0 -> Z@1/2\n"
+        "space zed kind=mixed carrier=semidirect tri A:J B:J C:J\n",
+        "zed",
+        5,
+        "glue B@0 -> Z@1/2: no branch 'Z'",
     ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(NOT_A_TREE))
 def test_gluings_that_are_not_a_tree_are_parse_errors(tmp_path, case):
-    body, space_id, message = NOT_A_TREE[case]
+    body, space_id, line, message = NOT_A_TREE[case]
     path = write_spaces(tmp_path, ARMS_HEAD + body)
     with pytest.raises(SpaceFileError) as exc:
         parse_space_file(path)
-    assert exc.value.line == 6
+    assert exc.value.line == line
     assert message in str(exc.value)
     res = run_cli("check-laws", "--spaces", path, "--space", space_id)
     assert res.returncode == 2
-    assert f"line 6: {message}" in res.stderr
+    assert f"line {line}: {message}" in res.stderr
     assert "Traceback" not in res.stderr
 
 
@@ -373,6 +391,25 @@ def report_all(tmp_path, name):
     out = tmp_path / name
     cli._emit(doc, "json", str(out), 0.0)
     return doc, ok, out.read_bytes()
+
+
+# sha256 of `report-all --seed S --format json` at the default budget: any
+# change to a draw, a verdict, a witness or a note moves these bytes
+@pytest.mark.parametrize(
+    "seed, digest",
+    [
+        (2026, "577973dd4b0db520ca3e651d0cb7a859cc91696558a3e96f111d2c483d854a82"),
+        (1, "7a176e5d63e12e30127c43248756ad906869148207991a162b23667eee571dc0"),
+    ],
+)
+def test_report_all_default_budget_bytes_are_pinned(tmp_path, seed, digest):
+    argv = ["report-all", "--seed", str(seed), "--format", "json"]
+    doc, ok = cli.run(cli._build_parser().parse_args(argv))
+    out = tmp_path / "report.json"
+    cli._emit(doc, "json", str(out), 0.0)
+    assert ok is True
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    assert_no_child_left()
 
 
 def test_report_all_is_the_same_on_one_and_four_cpus(tmp_path, cpus):

@@ -1,0 +1,207 @@
+"""The five exhaustive-or-sampled checks, pinned by digest.
+
+`verify_unit_law`, `verify_mult_law`, `verify_coseparator_property`,
+`support_condition_check` and `lipschitz_check` all run through
+`verdicts.check_all`.  Each space below is pinned by one sha256 over every
+row of (operator, seed, check): the verdict's JSON and the state of the
+rng after the call, so a refactor that changed a verdict, a witness, a
+note or a single rng call would move the digest.  The digests were taken
+from the loop-per-check bodies that came before the driver.
+"""
+
+import hashlib
+import json
+import random
+from fractions import Fraction
+
+import pytest
+
+from girycheck.algebra import (
+    _combination_rule,
+    build_algebra,
+    coseparator_maps,
+    support_condition_check,
+    user_algebra,
+    verify_coseparator_property,
+    verify_mult_law,
+    verify_unit_law,
+)
+from girycheck.metric_ot import default_metric, lipschitz_check
+from girycheck.spaces import (
+    Gluing,
+    builtin_spaces,
+    extended_line_space,
+    interval_space,
+    labels_space,
+    product_space,
+    semidirect_space,
+)
+from girycheck.verdicts import check_all
+
+F = Fraction
+J = interval_space("J", 0, 1)
+TRI = labels_space("tri", ("A", "B", "C"), "max")
+
+
+def _spaces():
+    spaces = dict(builtin_spaces())
+    # the branched space of ROADMAP item 2, as its space file declares it
+    spaces["wye"] = semidirect_space(
+        TRI,
+        [("A", J), ("B", J), ("C", J)],
+        [Gluing("A", "B", F(1, 2), ident=F(0)), Gluing("B", "C", F(1, 2), ident=F(0))],
+        "wye",
+    )
+    labels = labels_space("abc", ("a", "b", "c"), "min")
+    spaces["labels-x-interval"] = product_space(labels, J, "abcxJ")
+    # `space far-above kind=mixed carrier=extline 10 -`
+    spaces["far-above"] = extended_line_space("far-above", 10, None)
+    return spaces
+
+
+SPACES = _spaces()
+
+
+def _operators(space):
+    """The space's own combination rule, and a wrong operator that returns
+    the last atom of each measure in its canonical order."""
+    return {
+        "built": user_algebra(space, _combination_rule(space)),
+        "last-atom": user_algebra(space, lambda P: P.atoms[-1][0], "last-atom"),
+    }
+
+
+def _checks(space):
+    maps = coseparator_maps(space)
+    metric = default_metric(space)
+    return {
+        "unit": lambda h, rng: verify_unit_law(h, 8, rng),
+        "mult": lambda h, rng: verify_mult_law(h, 12, rng),
+        "cosep": lambda h, rng: verify_coseparator_property(h, maps, 8, rng),
+        "support": lambda h, rng: support_condition_check(h, 8, rng),
+        "lipschitz": lambda h, rng: lipschitz_check(h, metric, 6, rng),
+    }
+
+
+def _rows(space):
+    checks = _checks(space)
+    for op, h in _operators(space).items():
+        for seed in (1, 2, 3):
+            for name, check in checks.items():
+                rng = random.Random(seed)
+                try:
+                    verdict = check(h, rng)
+                    got = None if verdict is None else verdict.to_json()
+                except (ValueError, TypeError) as exc:
+                    got = [type(exc).__name__, str(exc)]
+                yield f"{op}/{seed}/{name}: {json.dumps(got)} {rng.getstate()!r}"
+
+
+DIGESTS = {
+    "C": "424bccb91956892f58785d6acd4e3da5d7de04ab59fd2fbb305910a666846809",
+    "D4-min": "0eda57f50507de845ff2b0d771829e6dec216350a9fb43c3adf14cb3793709d1",
+    "GxD": "c94ee6844438ce9f23b413975e1010c6d7c8913e367018864f77cafeeeb03065",
+    "N-min": "9273f1533470bf1d81e5331880cbbbfb907314a2305a8bd5c2a1261d78e7edf5",
+    "Rinf": "e21dee087188e61e4ff4ee7a6355294749bd822a22ff4c32acae55aa94911914",
+    "Rplus": "17451c98e8a6bb1cae330455f657d236423094c25fe54e23bcfcedcf0da9a532",
+    "box2": "dbfd75e7741465f3c77948fedd2c69d5a68cd9b6aa1689cc68fd7ba08b32056b",
+    "chain-max": "360e72602f58fe882f608415131a280169edd1e173138c0429c133a273e47a1f",
+    "far-above": "4e6731855fe180367a903505bffd3d2be3405ec9cb25d33e545bb504f7373dd6",
+    "labels-x-interval": "a257613d49861145ca23a191430247133fcf3b99f6ca850316aabaaf81caf74a",
+    "point": "43a824af73b626583567c08fdf138d1536bc5a3c254d01db90fd2a74414bd861",
+    "rinf-grid": "1d83882bbbb76bb8a3322e12ef93f76c2fc619d5ef3a66c95cccd073d0dbdcbf",
+    "rplus-grid": "591a91e8d005aa70922ad503d1611336ed7ca7a1a4c12d85166ea90ae89e95ba",
+    "simplex3": "b459ca0ac2abfeff0ad021027b3d1c998db48dbec1279e3fc6f8cc91395a9252",
+    "two": "e896f45715968e535ac7df947c53bb43c68c14ab432ab3dab02fb6b23d2889e8",
+    "unit_interval": "2bbbc869cb68b8e66999348fa030c3623431886cb455ec87686593460ecddf3d",
+    "vee": "7a6123b26fddd6bbeb998b0aa029d9eda4d76e3318c3cf86231f31b7725bc9a1",
+    "wye": "4fee227c71eead49be9f620f8668f9ecee3e79b22bbd89624fec67fa15cb02a7",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPACES))
+def test_the_five_checks_are_pinned(name):
+    text = "\n".join(_rows(SPACES[name]))
+    assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[name]
+
+
+# ---------------------------------------------------------------------------
+# what each verdict counts
+
+
+def test_check_all_stops_at_the_first_witness_and_counts_it():
+    seen = []
+
+    def check(case):
+        seen.append(case)
+        return {"at": str(case)} if case == 3 else None
+
+    v = check_all(iter(range(10)), check, exhaustive=True, note="ten")
+    assert (v.status, v.witness, v.note, v.checked) == ("fail", {"at": "3"}, "", 4)
+    assert seen == [0, 1, 2, 3]
+    v = check_all(range(10), lambda case: None, exhaustive=True, note="ten")
+    assert (v.status, v.note, v.checked) == ("pass", "ten", 10)
+    v = check_all([], lambda case: None, note="none")
+    assert (v.status, v.note, v.checked) == ("sampled-pass", "none", 0)
+
+
+def test_checked_stays_out_of_the_json_and_out_of_equality():
+    a = check_all(range(3), lambda case: None, note="n")
+    b = check_all(range(5), lambda case: None, note="n")
+    assert a.checked == 3 and b.checked == 5
+    assert a == b and a.to_json() == b.to_json() == {"status": "sampled-pass", "note": "n"}
+
+
+def test_the_exhaustive_unit_law_on_n_min_checks_every_label():
+    h = _operators(SPACES["N-min"])["built"]
+    v = verify_unit_law(h)
+    assert v.status == "pass" and v.checked == 32
+
+
+def test_the_unit_law_draws_every_sample_before_it_checks_one():
+    # an operator stuck at the interval's low end fails at the second
+    # landmark, after all ten samples were drawn, as on a pass
+    space = SPACES["unit_interval"]
+    low = space.landmark_elements()[0]
+    a, b = random.Random(4), random.Random(4)
+    v = verify_unit_law(user_algebra(space, lambda P: low), 10, a)
+    assert v.status == "fail" and v.checked == 2
+    for _ in range(10):
+        space.sample_element(b)
+    assert a.getstate() == b.getstate()
+
+
+def test_a_sampled_pass_checks_the_whole_budget():
+    space = SPACES["unit_interval"]
+    h = _operators(space)["built"]
+    rng = random.Random(5)
+    assert verify_mult_law(h, 25, rng).checked == 25
+    assert verify_coseparator_property(h, coseparator_maps(space), 15, rng).checked == 15
+    assert lipschitz_check(h, default_metric(space), 7, rng).checked == 7
+    # the unit law checks the landmarks first, then the budget's samples
+    v = verify_unit_law(h, 9, rng)
+    assert v.status == "sampled-pass"
+    assert v.checked == len(space.landmark_elements()) + 9
+    box = _operators(SPACES["GxD"])["built"]
+    assert support_condition_check(box, 11, rng).checked == 11
+
+
+def test_the_failing_wye_mult_draw_is_counted():
+    # the built operator on wye fails the law at this stream (ROADMAP item 2)
+    h = build_algebra(SPACES["wye"], rng=random.Random(0))
+    v = verify_mult_law(h, 3000, random.Random(2))
+    assert not v.ok
+    # the count is the position of the first failing draw: a budget one
+    # shorter passes on the same stream, a budget of exactly that fails
+    assert verify_mult_law(h, v.checked - 1, random.Random(2)).ok
+    shortest = verify_mult_law(h, v.checked, random.Random(2))
+    assert shortest == v and shortest.checked == v.checked
+
+
+@pytest.mark.parametrize("name", ["Rinf", "Rplus", "far-above", "rinf-grid", "rplus-grid"])
+def test_the_extended_line_support_note_counts_its_cases(name):
+    h = _operators(SPACES[name])["built"]
+    v = support_condition_check(h, 60, random.Random(19))
+    assert v.status == "sampled-pass"
+    assert v.note == f"{v.checked} absorbing-support cases"
+    assert 0 < v.checked < 60

@@ -6,7 +6,8 @@ ints, `random_measure` builds its measure on integer 24ths without
 `from_pairs`, `verify_mult_law` checks each draw on its integer numerators
 and builds a MetaMeasure only for a witness, and `char_map` hands out two
 prebuilt values.  Each is checked here against the code it replaced, kept
-verbatim as `_reference_*`.
+verbatim as `_reference_*`; the weight draws and the canonical atom order
+come from the reference oracles in `generators`.
 """
 
 import random
@@ -30,14 +31,11 @@ from girycheck.extvalue import INF, ExtValue, ext_sum
 from girycheck.measures import (
     FinMeasure,
     MetaMeasure,
-    _atom_payload,
     _flatten,
-    _sorts_on_payload,
     expectation_functional,
     mu,
 )
 from girycheck.sampling import (
-    _TWENTY_FOURTHS,
     random_measure,
     random_meta,
     random_weights,
@@ -59,10 +57,10 @@ from girycheck.spaces import (
     extended_line_space,
     interval_space,
     labels_space,
-    payload_sort_key,
     product_space,
 )
 from girycheck.verdicts import failed, passed
+from generators import reference_canonical_atoms, reference_random_weights
 
 REG = builtin_spaces()
 F = Fraction
@@ -70,19 +68,6 @@ F = Fraction
 
 # ---------------------------------------------------------------------------
 # the code the fast paths replaced
-
-
-def _reference_canonical_atoms(merged: dict) -> tuple:
-    """The (Element, weight) items sorted by payload_sort_key of the
-    Element's payload, comparing payloads directly where that gives the
-    same order, so that no key is built per atom."""
-    items = list(merged.items())
-    if len(items) > 1:
-        if _sorts_on_payload([e.payload for e in merged]):
-            items.sort(key=_atom_payload)
-        else:
-            items.sort(key=lambda kv: payload_sort_key(kv[0].payload))
-    return tuple(items)
 
 
 def _reference_from_pairs(space_id, pairs):
@@ -100,7 +85,7 @@ def _reference_from_pairs(space_id, pairs):
     if not merged:
         raise ValueError("measure with no mass")
     _check_unit_mass(merged.values())
-    return FinMeasure(space_id, _reference_canonical_atoms(merged))
+    return FinMeasure(space_id, reference_canonical_atoms(merged))
 
 
 def _reference_mu(Q):
@@ -128,19 +113,10 @@ def _reference_expectation_functional(P, m):
     return ext_sum(terms)
 
 
-def _reference_random_weights(rng, n):
-    """n nonnegative Fractions with denominator dividing 24, summing to 1."""
-    if n < 1:
-        raise ValueError("need at least one weight")
-    cuts = sorted(rng.randint(0, 24) for _ in range(n - 1))
-    bounds = [0] + cuts + [24]
-    return [_TWENTY_FOURTHS[b - a] for a, b in zip(bounds, bounds[1:])]
-
-
 def _reference_random_measure(rng, space, max_atoms=4):
     k = rng.randint(1, max_atoms)
     elems = [space.sample_element(rng) for _ in range(k)]
-    ws = _reference_random_weights(rng, k)
+    ws = reference_random_weights(rng, k)
     return FinMeasure.from_pairs(space.id, zip(elems, ws))
 
 
@@ -158,7 +134,7 @@ def _reference_random_meta_pairs(
     zero weights kept and equal inner measures not merged."""
     k = rng.randint(1, max_outer)
     inner = [_reference_random_measure(rng, space, max_atoms) for _ in range(k)]
-    return list(zip(inner, _reference_random_weights(rng, k)))
+    return list(zip(inner, reference_random_weights(rng, k)))
 
 
 def _reference_random_meta(
@@ -579,7 +555,7 @@ def test_random_weights_draw_like_the_reference():
     a, b = random.Random(3), random.Random(3)
     for n in list(range(1, 9)) * 20:
         got = random_weights(a, n)
-        assert got == _reference_random_weights(b, n)
+        assert got == reference_random_weights(b, n)
         assert all(type(w) is Fraction for w in got)
         assert a.getstate() == b.getstate()
     with pytest.raises(ValueError, match="need at least one weight"):

@@ -3,8 +3,9 @@
 The carriers' weighted sums and draws, the weight checks of `combine` and
 the canonical atom order of `FinMeasure.from_pairs` run on plain ints.
 Each is checked here against the plain Fraction code it replaced, kept
-verbatim as `_reference_*`, and the cached Element hash against the
-dataclass hash it stands for.
+verbatim as `_reference_*` (the weight draws and the canonical atom order
+against the reference oracles in `generators`), and the cached Element
+hash against the dataclass hash it stands for.
 """
 
 import copy
@@ -38,9 +39,9 @@ from girycheck.spaces import (
     combine,
     extended_line_space,
     interval_space,
-    payload_sort_key,
     simplex_space,
 )
+from generators import reference_canonical_atoms, reference_random_weights
 
 REG = builtin_spaces()
 
@@ -84,15 +85,6 @@ def _reference_simplex_sample(self, rng):
     return tuple(c / total for c in cuts)
 
 
-def _reference_random_weights(rng: random.Random, n: int, denom: int = 24):
-    """n nonnegative Fractions with denominator dividing denom, summing to 1."""
-    if n < 1:
-        raise ValueError("need at least one weight")
-    cuts = sorted(rng.randint(0, denom) for _ in range(n - 1))
-    bounds = [0] + cuts + [denom]
-    return [Fraction(bounds[i + 1] - bounds[i], denom) for i in range(n)]
-
-
 def _reference_combine(space, weights, elements):
     """Convex combination of elements with the given weights.
 
@@ -117,10 +109,6 @@ def _reference_combine(space, weights, elements):
     ws2 = tuple(w for w, _ in kept)
     ps2 = tuple(e.payload for _, e in kept)
     return Element(space.id, space.carrier.combine(ws2, ps2))
-
-
-def _reference_canonical_atoms(merged):
-    return tuple(sorted(merged.items(), key=lambda kv: payload_sort_key(kv[0].payload)))
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +253,7 @@ def test_random_weights_equal_the_fraction_weights():
     a, b = random.Random(3), random.Random(3)
     for n in list(range(1, 8)) * 30:
         got = random_weights(a, n)
-        assert got == _reference_random_weights(b, n)
+        assert got == reference_random_weights(b, n)
         assert all(type(w) is Fraction for w in got)
     assert a.getstate() == b.getstate()
 
@@ -325,7 +313,7 @@ def test_keyfree_sort_equals_the_keyed_sort_on_one_family(family, data):
     merged = _merged(payloads)
     items = list(merged.items())
     _sort_atoms(items)
-    assert tuple(items) == _reference_canonical_atoms(merged)
+    assert tuple(items) == reference_canonical_atoms(merged)
 
 
 @settings(max_examples=300, deadline=None)
@@ -334,7 +322,7 @@ def test_keyfree_sort_equals_the_keyed_sort_on_mixed_payloads(payloads):
     merged = _merged(payloads)
     items = list(merged.items())
     _sort_atoms(items)
-    assert tuple(items) == _reference_canonical_atoms(merged)
+    assert tuple(items) == reference_canonical_atoms(merged)
 
 
 def test_homogeneous_payloads_sort_without_keys():

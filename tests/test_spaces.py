@@ -275,6 +275,25 @@ def test_semidirect_space_refuses_gluings_that_are_not_a_forest(glues, named):
         semidirect_space(branches, [("L", UNIT), ("H", UNIT)], glues, "loop")
 
 
+OFF_UNIT = "is not a point of unit_interval"
+
+
+@pytest.mark.parametrize(
+    "glue, message",
+    [
+        (Gluing("L", "H", F(3), ident=F(0)), f"glue L@0 -> H@3: 3 {OFF_UNIT}"),
+        (Gluing("L", "H", F(0), ident=F(-1)), f"glue L@-1 -> H@0: -1 {OFF_UNIT}"),
+        (Gluing("L", "X", F(0)), "glue L -> X@0: no branch 'X'"),
+        (Gluing("X", "H", F(0), ident=F(0)), "glue X@0 -> H@0: no branch 'X'"),
+    ],
+)
+def test_semidirect_space_refuses_a_glue_endpoint_off_its_arms(glue, message):
+    branches = labels_space("lh", ("L", "H"), "max")
+    with pytest.raises(ValueError) as exc:
+        semidirect_space(branches, [("L", UNIT), ("H", UNIT)], [glue], "bad")
+    assert str(exc.value) == message
+
+
 def test_point_str_parse_round_trip():
     rng = random.Random(7)
     for sid in ("unit_interval", "box2", "simplex3", "rinf-grid", "chain-max", "GxD", "vee"):
