@@ -24,13 +24,6 @@ def _cut_numerators(rng: random.Random, n: int) -> list:
     return [b - a for a, b in zip(bounds, bounds[1:])]
 
 
-def random_weights(rng: random.Random, n: int):
-    """n nonnegative Fractions with denominator dividing 24, summing to 1."""
-    if n < 1:
-        raise ValueError("need at least one weight")
-    return [_TWENTY_FOURTHS[k] for k in _cut_numerators(rng, n)]
-
-
 def _draw_atoms(rng: random.Random, space: ConvexSpaceSpec, max_atoms: int) -> tuple:
     """random_measure's draws: k <= max_atoms, k points of the space's own
     sampler, then the k - 1 cuts.  Returns the measure's atoms as

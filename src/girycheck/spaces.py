@@ -1065,10 +1065,13 @@ def product_space(a: ConvexSpaceSpec, b: ConvexSpaceSpec, space_id=None) -> Conv
 
 def semidirect_space(branch_space, components, gluings, space_id) -> ConvexSpaceSpec:
     """components: list of (branch_label, space); gluings: list of Gluing."""
+    labels = [lab for lab, _ in components]
+    for k, label in enumerate(labels):
+        if label in labels[:k]:
+            raise ValueError(f"branch {label!r} has two arms")
     carrier = Branched(branch_space, tuple(components), tuple(gluings))
     _check_gluings(carrier)
     # every losing->winning transition must be reachable
-    labels = [lab for lab, _ in components]
     for a in labels:
         for b in labels:
             if a != b and _needs_transition(branch_space, a, b):

@@ -1,7 +1,6 @@
-"""Seeded generators that only the tests draw from: depth-three measure
-towers, small random label spaces and random metrics on their labels; and
-the reference oracles that more than one test file checks against, written
-from their definitions.
+"""Spaces beyond the built-ins that several test files run on, and seeded
+generators that only the tests draw from: depth-three measure towers,
+small random label spaces and random metrics on their labels.
 
 Everything takes an explicit random.Random, as `girycheck.sampling` does.
 """
@@ -10,24 +9,37 @@ import random
 import string
 from fractions import Fraction
 
-from girycheck.sampling import random_meta, random_weights
-from girycheck.spaces import ConvexSpaceSpec, labels_space, payload_sort_key
+from girycheck.sampling import random_meta
+from girycheck.spaces import (
+    ConvexSpaceSpec,
+    Gluing,
+    extended_line_space,
+    interval_space,
+    labels_space,
+    product_space,
+    semidirect_space,
+)
+from reference import cut_weights
 
-
-def reference_random_weights(rng: random.Random, n: int):
-    """n nonnegative Fractions over 24, summing to 1: the gaps between n - 1
-    sorted uniform cuts of 0..24."""
-    if n < 1:
-        raise ValueError("need at least one weight")
-    cuts = sorted(rng.randint(0, 24) for _ in range(n - 1))
-    bounds = [0] + cuts + [24]
-    return [Fraction(b - a, 24) for a, b in zip(bounds, bounds[1:])]
-
-
-def reference_canonical_atoms(merged: dict) -> tuple:
-    """A measure's (Element, weight) items in canonical order: sorted on
-    payload_sort_key of the payload."""
-    return tuple(sorted(merged.items(), key=lambda kv: payload_sort_key(kv[0].payload)))
+J = interval_space("J", 0, 1)
+EXTRA_SPACES = {
+    # the branched space of ROADMAP item 2: `glue A@0 -> B@1/2`, `glue B@0 ->
+    # C@1/2`, `space wye kind=mixed carrier=semidirect tri A:J B:J C:J`
+    "wye": semidirect_space(
+        labels_space("tri", ("A", "B", "C"), "max"),
+        [("A", J), ("B", J), ("C", J)],
+        [Gluing("A", "B", Fraction(1, 2), ident=Fraction(0)),
+         Gluing("B", "C", Fraction(1, 2), ident=Fraction(0))],
+        "wye",
+    ),
+    "labels-x-interval": product_space(labels_space("abc", ("a", "b", "c"), "min"), J, "abcxJ"),
+    # `space far-above kind=mixed carrier=extline 10 -`, and its mirror
+    "far-above": extended_line_space("far-above", 10, None),
+    "far-below": extended_line_space("far-below", None, -9),
+    # finite-small's largest label spaces
+    "six-max": labels_space("six-max", tuple("abcdef"), "max"),
+    "six-min": labels_space("six-min", tuple("abcdef"), "min"),
+}
 
 
 def random_tower(rng: random.Random, space: ConvexSpaceSpec):
@@ -35,7 +47,7 @@ def random_tower(rng: random.Random, space: ConvexSpaceSpec):
     exercise the two ways of flattening a depth-three tower."""
     k = rng.randint(1, 3)
     metas = [random_meta(rng, space) for _ in range(k)]
-    ws = random_weights(rng, k)
+    ws = cut_weights(rng, k)
     return ws, metas
 
 

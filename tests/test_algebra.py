@@ -19,7 +19,7 @@ from girycheck.algebra import (
 from girycheck.extvalue import INF, ExtValue
 from girycheck.measures import FinMeasure, MetaMeasure, dirac, mu, support
 from girycheck.metric_ot import default_metric, lipschitz_check
-from girycheck.sampling import random_measure, random_weights
+from girycheck.sampling import random_measure
 from girycheck.spaces import (
     Gluing,
     as_ext,
@@ -32,6 +32,7 @@ from girycheck.spaces import (
     semidirect_space,
 )
 from girycheck.verdicts import failed, passed
+import reference
 
 REG = builtin_spaces()
 UNIT = REG["unit_interval"]
@@ -48,7 +49,7 @@ def induced_structure_check(h, budget: int = 200, rng=None):
     for _ in range(budget):
         k = rng.randint(1, 4)
         xs = [space.sample_element(rng) for _ in range(k)]
-        ws = random_weights(rng, k)
+        ws = reference.cut_weights(rng, k)
         native = combine(space, ws, xs)
         via_h = h(FinMeasure.from_pairs(space.id, zip(xs, ws)))
         if native != via_h:

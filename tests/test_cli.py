@@ -128,6 +128,15 @@ NOT_A_TREE = {
         5,
         "glue A@0 -> B@3: 3 is not a point of J",
     ),
+    # once parsed, and then drew points of the second A arm that z refused
+    "repeated-arm": (
+        "space K kind=geometric carrier=interval 5 9\n"
+        "space duo kind=discrete carrier=labels A B rule=max\nglue A@0 -> B@1/2\n"
+        "space z kind=mixed carrier=semidirect duo A:J A:K B:J\n",
+        "z",
+        6,
+        "branch 'A' has two arms",
+    ),
     # once refused only as "no gluing path 'A' -> 'C'"
     "not-a-branch": (
         "glue A@0 -> B@1/2\nglue B@0 -> Z@1/2\n"

@@ -1,9 +1,8 @@
 """Built operators are the carrier's own combination of a measure's atoms.
 
-The per-carrier rules that `build_algebra` used before, and the
-declaration-order `FiniteDiscrete.combine`, are kept below as reference
-oracles; hypothesis properties check that the single combination rule
-gives the same points on every kind of space the operator is built for.
+Hypothesis properties check that the single combination rule, and the
+declaration-order `FiniteDiscrete.combine`, give the model's points on
+every kind of space the operator is built for.
 """
 
 import json
@@ -15,158 +14,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from girycheck.algebra import Rejection, build_algebra, user_algebra
+from girycheck.algebra import Rejection, build_algebra
 from girycheck.cli import main
-from girycheck.extvalue import ext_sum
-from girycheck.measures import FinMeasure, mu, pushforward, support
+from girycheck.measures import FinMeasure, mu
 from girycheck.metric_ot import equiv_verdict
 from girycheck.sampling import random_measure, random_meta
 from girycheck.spaces import (
-    Box,
-    Branched,
     ConvexSpaceSpec,
-    Element,
     ExtendedLine,
-    FiniteDiscrete,
     Gluing,
-    Interval,
-    Product,
     SpaceKind,
-    Simplex,
     builtin_spaces,
-    combine,
-    combine2,
     interval_space,
     labels_space,
     product_space,
     semidirect_space,
 )
 from girycheck.verdicts import FAIL, PASS, SAMPLED_PASS, Verdict
+from generators import EXTRA_SPACES
+import reference
 
 REG = builtin_spaces()
 UNIT = REG["unit_interval"]
-
-
-# ---------------------------------------------------------------------------
-# reference oracles: the six per-carrier rules and the FiniteDiscrete
-# combine as they were written, kept verbatim except that the removed
-# FiniteDiscrete._index is spelled out as labels.index
-
-
-def _reference_discrete_combine(carrier, ws, ps):
-    distinct = []
-    for p in ps:
-        if p not in distinct:
-            distinct.append(p)
-    if len(distinct) == 1:
-        return distinct[0]
-    if carrier.rule == "min":
-        return min(distinct, key=carrier.labels.index)
-    if carrier.rule == "max":
-        return max(distinct, key=carrier.labels.index)
-    return carrier.center
-
-
-def _reference_barycenter_rule(space):
-    def rule(P):
-        first = P.atoms[0][0].payload
-        if isinstance(first, tuple):
-            dims = range(len(first))
-            return space.element(tuple(sum(w * e.payload[k] for e, w in P.atoms) for k in dims))
-        return space.element(sum(w * e.payload for e, w in P.atoms))
-
-    return rule
-
-
-def _reference_absorbing_barycenter_rule(space):
-    def rule(P):
-        return space.element(ext_sum(w * e.payload for e, w in P.atoms))
-
-    return rule
-
-
-def _reference_extreme_rule(space, maximize: bool):
-    index = space.carrier.labels.index
-
-    def rule(P):
-        best = None
-        for e, _ in P.atoms:
-            k = index(e.payload)
-            if best is None or (k > best[0] if maximize else k < best[0]):
-                best = (k, e)
-        return best[1]
-
-    return rule
-
-
-def _reference_fold_rule(space):
-    def rule(P):
-        xs = support(P)
-        return combine(space, [Fraction(1, len(xs))] * len(xs), xs)
-
-    return rule
-
-
-def _reference_product_rule(space, subs):
-    comps = space.carrier.components
-
-    def rule(P):
-        payload = []
-        for k, (comp, sub) in enumerate(zip(comps, subs)):
-            Pk = pushforward(lambda e, k=k, comp=comp: Element(comp.id, e.payload[k]), P)
-            payload.append(sub(Pk).payload)
-        return space.element(tuple(payload))
-
-    return rule
-
-
-def _reference_branched_rule(space, arms):
-    carrier = space.carrier
-    bspace = carrier.branch_space
-
-    def rule(P):
-        labels = []
-        for e, _ in P.atoms:
-            if e.payload[0] not in labels:
-                labels.append(e.payload[0])
-        win = labels[0]
-        for lab in labels[1:]:
-            win = combine2(
-                bspace, Fraction(1, 2), bspace.element(win), bspace.element(lab)
-            ).payload
-        comp = carrier._component(win)
-        pairs = []
-        for e, w in P.atoms:
-            lab, a = e.payload
-            if lab != win:
-                a = carrier._transition_target(lab, win)
-            pairs.append((Element(comp.id, comp.carrier.normalize(a)), w))
-        inner = arms[win](FinMeasure.from_pairs(comp.id, pairs))
-        return space.element((win, inner.payload))
-
-    return rule
-
-
-def _reference_algebra(space):
-    """The operator the old per-carrier routing built, arms and components
-    included, for a space that admits one."""
-    carrier = space.carrier
-    if isinstance(carrier, FiniteDiscrete):
-        if carrier.rule == "collapse":
-            rule = _reference_fold_rule(space)
-        else:
-            rule = _reference_extreme_rule(space, maximize=carrier.rule == "max")
-    elif isinstance(carrier, ExtendedLine):
-        rule = _reference_absorbing_barycenter_rule(space)
-    elif isinstance(carrier, (Interval, Box, Simplex)):
-        rule = _reference_barycenter_rule(space)
-    elif isinstance(carrier, Product):
-        subs = tuple(_reference_algebra(c) for c in carrier.components)
-        rule = _reference_product_rule(space, subs)
-    else:
-        arms = {label: _reference_algebra(c) for label, c in carrier.components}
-        rule = _reference_branched_rule(space, arms)
-    return user_algebra(space, rule)
 
 
 # ---------------------------------------------------------------------------
@@ -177,15 +46,6 @@ BUILTIN_ALGEBRA_IDS = [sid for sid in REG if sid != "C"]
 
 def _label_space(sid, labels, rule, center=None):
     return labels_space(sid, tuple(labels), rule, center=center)
-
-
-def _wye():
-    arms = [(lab, interval_space(f"wye-{lab}", 0, 1)) for lab in "ABC"]
-    glues = [
-        Gluing("A", "B", Fraction(1, 2), ident=Fraction(0)),
-        Gluing("B", "C", Fraction(1, 2), ident=Fraction(0)),
-    ]
-    return semidirect_space(_label_space("wye-tri", "ABC", "max"), arms, glues, "wye")
 
 
 def _extline_arm(line_wins):
@@ -252,7 +112,11 @@ ALGEBRA_SPACES = st.one_of(
     products_with_unit(),
     finite_branched(),
     st.sampled_from(("wye", "xl-line-wins", "xl-seg-wins")).map(
-        {"wye": _wye(), "xl-line-wins": _extline_arm(True), "xl-seg-wins": _extline_arm(False)}.get
+        {
+            "wye": EXTRA_SPACES["wye"],
+            "xl-line-wins": _extline_arm(True),
+            "xl-seg-wins": _extline_arm(False),
+        }.get
     ),
 )
 
@@ -260,7 +124,7 @@ ALGEBRA_SPACES = st.one_of(
 def _operators(space):
     h = build_algebra(space, budget=20, rng=random.Random(0))
     assert not isinstance(h, Rejection), space.id
-    return h, _reference_algebra(space)
+    return h, reference.operator(space)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +158,7 @@ def test_discrete_combine_matches_declaration_order_reference(space, data):
     carrier = space.carrier
     ps = data.draw(st.lists(st.sampled_from(carrier.labels), min_size=1, max_size=25))
     ws = [Fraction(1, len(ps))] * len(ps)
-    want = _reference_discrete_combine(carrier, ws, ps)
+    want = reference.combine_payloads(carrier, ws, ps)
     assert carrier.combine(ws, ps) == want
     assert carrier.combine(tuple(ws), tuple(ps)) == want
 

@@ -12,7 +12,6 @@ from the loop-per-check bodies that came before the driver.
 import hashlib
 import json
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -27,39 +26,14 @@ from girycheck.algebra import (
     verify_unit_law,
 )
 from girycheck.metric_ot import default_metric, lipschitz_check
-from girycheck.spaces import (
-    Gluing,
-    builtin_spaces,
-    extended_line_space,
-    interval_space,
-    labels_space,
-    product_space,
-    semidirect_space,
-)
+from girycheck.spaces import builtin_spaces
 from girycheck.verdicts import check_all
+from generators import EXTRA_SPACES
 
-F = Fraction
-J = interval_space("J", 0, 1)
-TRI = labels_space("tri", ("A", "B", "C"), "max")
-
-
-def _spaces():
-    spaces = dict(builtin_spaces())
-    # the branched space of ROADMAP item 2, as its space file declares it
-    spaces["wye"] = semidirect_space(
-        TRI,
-        [("A", J), ("B", J), ("C", J)],
-        [Gluing("A", "B", F(1, 2), ident=F(0)), Gluing("B", "C", F(1, 2), ident=F(0))],
-        "wye",
-    )
-    labels = labels_space("abc", ("a", "b", "c"), "min")
-    spaces["labels-x-interval"] = product_space(labels, J, "abcxJ")
-    # `space far-above kind=mixed carrier=extline 10 -`
-    spaces["far-above"] = extended_line_space("far-above", 10, None)
-    return spaces
-
-
-SPACES = _spaces()
+# the built-ins, the wye of ROADMAP item 2, a product with a label axis and
+# a half-bounded extended line
+PINNED_EXTRAS = ("wye", "labels-x-interval", "far-above")
+SPACES = {**builtin_spaces(), **{name: EXTRA_SPACES[name] for name in PINNED_EXTRAS}}
 
 
 def _operators(space):

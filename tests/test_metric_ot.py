@@ -1,7 +1,6 @@
 import hashlib
 import math
 import random
-from collections import defaultdict, deque
 from fractions import Fraction as F
 from itertools import combinations, product
 
@@ -461,65 +460,7 @@ def test_pivot_path_is_pinned(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the one tree walk per pivot, against the two BFS walks it replaced, kept
-# verbatim below as reference oracles
-
-
-def _reference_potentials(basis, costs, n, m):
-    u = [None] * n
-    v = [None] * m
-    rows, cols = defaultdict(list), defaultdict(list)
-    for i, j, _ in basis:
-        rows[i].append(j)
-        cols[j].append(i)
-    u[0] = 0
-    queue = deque([("r", 0)])
-    while queue:
-        kind, a = queue.popleft()
-        if kind == "r":
-            for j in rows[a]:
-                if v[j] is None:
-                    v[j] = costs[a][j] - u[a]
-                    queue.append(("c", j))
-        else:
-            for i in cols[a]:
-                if u[i] is None:
-                    u[i] = costs[i][a] - v[a]
-                    queue.append(("r", i))
-    return u, v
-
-
-def _reference_tree_path(basis, i0, j0):
-    """Basis-cell indices along the unique tree path row i0 -> col j0."""
-    rows, cols = defaultdict(list), defaultdict(list)
-    for idx, (i, j, _) in enumerate(basis):
-        rows[i].append((j, idx))
-        cols[j].append((i, idx))
-    start, goal = ("r", i0), ("c", j0)
-    parents = {start: None}
-    queue = deque([start])
-    while queue:
-        node = queue.popleft()
-        kind, a = node
-        steps = (
-            [(("c", j), idx) for j, idx in rows[a]]
-            if kind == "r"
-            else [(("r", i), idx) for i, idx in cols[a]]
-        )
-        for nxt, idx in steps:
-            if nxt in parents:
-                continue
-            parents[nxt] = (node, idx)
-            if nxt == goal:
-                cells = []
-                cur = nxt
-                while parents[cur] is not None:
-                    cur, idx = parents[cur]
-                    cells.append(idx)
-                cells.reverse()
-                return cells
-            queue.append(nxt)
-    raise RuntimeError("transport basis lost connectivity")
+# the one tree walk per pivot, against the definitions of its outputs
 
 
 @st.composite
@@ -551,15 +492,26 @@ def _spanning_trees(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(tree=_spanning_trees())
-def test_tree_walk_matches_the_two_bfs_walks(tree):
+def test_tree_walk_gives_potentials_and_tree_paths(tree):
     n, m, basis, costs = tree
     pot, link, depth = metric_ot._tree_walk(basis, costs, n, m)
-    assert (pot[:n], pot[n:]) == _reference_potentials(basis, costs, n, m)
+    # potentials: 0 at row 0 and u_i + v_j = c_ij on every basic cell
+    assert pot[0] == 0
+    assert all(pot[i] + pot[n + j] == costs[i][j] for i, j, _ in basis)
     basic = {(i, j) for i, j, _ in basis}
     for i, j in product(range(n), range(m)):
-        if (i, j) not in basic:
-            path = metric_ot._basis_path(link, depth, i, n + j)
-            assert path == _reference_tree_path(basis, i, j)
+        if (i, j) in basic:
+            continue
+        # with the entering cell, the path closes one cycle: from row i it
+        # alternates rows and columns along basic cells, through distinct
+        # nodes, to column j
+        node, seen = i, {i}
+        for k in metric_ot._basis_path(link, depth, i, n + j):
+            r, c, _ = basis[k]
+            node = n + c if node == r else r if node == n + c else None
+            assert node is not None and node not in seen
+            seen.add(node)
+        assert node == n + j
 
 
 def test_tree_walk_refuses_a_disconnected_basis():

@@ -1,11 +1,10 @@
-"""Oracles for the integer kernels of the scalar layer.
+"""The integer kernels of the scalar layer against the model.
 
-The carriers' weighted sums and draws, the weight checks of `combine` and
-the canonical atom order of `FinMeasure.from_pairs` run on plain ints.
-Each is checked here against the plain Fraction code it replaced, kept
-verbatim as `_reference_*` (the weight draws and the canonical atom order
-against the reference oracles in `generators`), and the cached Element
-hash against the dataclass hash it stands for.
+The carriers' weighted sums and draws, the weight checks of `combine`, the
+weight cuts of the draws and the canonical atom order of
+`FinMeasure.from_pairs` run on plain ints.  Each is checked here against
+the Fraction model in `reference`, and the cached Element hash against the
+dataclass hash it stands for.
 """
 
 import copy
@@ -21,19 +20,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from girycheck.extvalue import INF, ExtValue
-from girycheck.measures import (
-    FinMeasure,
-    _sort_atoms,
-    _sorts_on_payload,
-)
-from girycheck.sampling import random_weights
+from girycheck.measures import FinMeasure, _sort_atoms, _sorts_on_payload
+from girycheck.sampling import _cut_numerators
 from girycheck.spaces import (
     Box,
     Element,
     ExtendedLine,
     Interval,
     Simplex,
-    _as_fraction,
     box_space,
     builtin_spaces,
     combine,
@@ -41,74 +35,9 @@ from girycheck.spaces import (
     interval_space,
     simplex_space,
 )
-from generators import reference_canonical_atoms, reference_random_weights
+import reference
 
 REG = builtin_spaces()
-
-
-# ---------------------------------------------------------------------------
-# the Fraction code the kernels replaced
-
-
-def _reference_interval_combine(self, ws, ps):
-    return sum(w * p for w, p in zip(ws, ps))
-
-
-def _reference_box_combine(self, ws, ps):
-    dim = len(self.bounds)
-    return tuple(sum(w * p[k] for w, p in zip(ws, ps)) for k in range(dim))
-
-
-def _reference_simplex_combine(self, ws, ps):
-    return tuple(sum(w * p[k] for w, p in zip(ws, ps)) for k in range(self.n))
-
-
-def _reference_extline_combine(self, ws, ps):
-    if any(p.is_inf for p in ps):
-        return INF
-    return ExtValue(sum(w * p.value for w, p in zip(ws, ps)))
-
-
-def _reference_interval_sample(self, rng):
-    return self.lo + (self.hi - self.lo) * Fraction(rng.randint(0, 64), 64)
-
-
-def _reference_box_sample(self, rng):
-    return tuple(
-        lo + (hi - lo) * Fraction(rng.randint(0, 64), 64) for lo, hi in self.bounds
-    )
-
-
-def _reference_simplex_sample(self, rng):
-    cuts = [Fraction(rng.randint(1, 9)) for _ in range(self.n)]
-    total = sum(cuts)
-    return tuple(c / total for c in cuts)
-
-
-def _reference_combine(space, weights, elements):
-    """Convex combination of elements with the given weights.
-
-    Zero-weight entries are dropped before the carrier rule runs.
-    """
-    ws = [_as_fraction(w) for w in weights]
-    xs = list(elements)
-    if len(ws) != len(xs):
-        raise ValueError("weights and elements differ in length")
-    if not xs:
-        raise ValueError("empty combination")
-    for e in xs:
-        if e.space_id != space.id:
-            raise ValueError(f"element of {e.space_id} combined in {space.id}")
-    if any(w < 0 for w in ws):
-        raise ValueError("negative weight")
-    if sum(ws) != 1:
-        raise ValueError(f"weights sum to {sum(ws)}, not 1")
-    kept = [(w, e) for w, e in zip(ws, xs) if w > 0]
-    if len(kept) == 1:
-        return kept[0][1]
-    ws2 = tuple(w for w, _ in kept)
-    ps2 = tuple(e.payload for _, e in kept)
-    return Element(space.id, space.carrier.combine(ws2, ps2))
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +69,7 @@ def _is_fraction(x):
 def test_interval_combine_equals_the_fraction_sum(case):
     carrier = Interval(Fraction(-9), Fraction(9))
     got = carrier.combine(*case)
-    assert got == _reference_interval_combine(carrier, *case)
+    assert got == reference.combine_payloads(carrier, *case)
     assert type(got) is Fraction
 
 
@@ -151,8 +80,8 @@ def test_box_and_simplex_combine_equal_the_fraction_sums(dim, data):
     box = Box(((Fraction(-9), Fraction(9)),) * dim)
     simplex = Simplex(dim)
     got = box.combine(ws, ps)
-    assert got == _reference_box_combine(box, ws, ps)
-    assert simplex.combine(ws, ps) == _reference_simplex_combine(simplex, ws, ps)
+    assert got == reference.combine_payloads(box, ws, ps)
+    assert simplex.combine(ws, ps) == reference.combine_payloads(simplex, ws, ps)
     assert _is_fraction(got) and len(got) == dim
 
 
@@ -161,7 +90,7 @@ def test_box_and_simplex_combine_equal_the_fraction_sums(dim, data):
 def test_extended_line_combine_equals_the_fraction_sum(case):
     carrier = ExtendedLine(None, None)
     got = carrier.combine(*case)
-    assert got == _reference_extline_combine(carrier, *case)
+    assert got == reference.combine_payloads(carrier, *case)
     assert got.is_inf or type(got.value) is Fraction
 
 
@@ -197,7 +126,7 @@ def test_combine_validates_and_drops_like_the_fraction_code(ws, data):
         )
     ]
     try:
-        want = _reference_combine(space, ws, xs)
+        want = reference.combine(space, ws, xs)
     except ValueError as exc:
         with pytest.raises(ValueError) as got:
             combine(space, ws, xs)
@@ -231,31 +160,28 @@ def test_interval_draws_equal_the_fraction_draws(lo_hi, seed):
     a, b = random.Random(seed), random.Random(seed)
     for _ in range(5):
         got = carrier.sample(a)
-        assert got == _reference_interval_sample(carrier, b) and type(got) is Fraction
+        assert got == reference.sample(carrier, b) and type(got) is Fraction
     assert a.getstate() == b.getstate()
 
 
 @settings(max_examples=200, deadline=None)
 @given(box_bounds=st.lists(bounds, min_size=1, max_size=3), n=st.integers(1, 5), seed=st.integers(0, 10**6))
 def test_box_and_simplex_draws_equal_the_fraction_draws(box_bounds, n, seed):
-    for carrier, reference in [
-        (Box(tuple(box_bounds)), _reference_box_sample),
-        (Simplex(n), _reference_simplex_sample),
-    ]:
+    for carrier in (Box(tuple(box_bounds)), Simplex(n)):
         a, b = random.Random(seed), random.Random(seed)
         for _ in range(5):
             got = carrier.sample(a)
-            assert got == reference(carrier, b) and _is_fraction(got)
+            assert got == reference.sample(carrier, b) and _is_fraction(got)
         assert a.getstate() == b.getstate()
 
 
-def test_random_weights_equal_the_fraction_weights():
+def test_weight_cuts_draw_like_the_model():
     a, b = random.Random(3), random.Random(3)
-    for n in list(range(1, 8)) * 30:
-        got = random_weights(a, n)
-        assert got == reference_random_weights(b, n)
-        assert all(type(w) is Fraction for w in got)
-    assert a.getstate() == b.getstate()
+    for n in list(range(1, 9)) * 30:
+        got = _cut_numerators(a, n)
+        assert all(type(k) is int for k in got)
+        assert [Fraction(k, 24) for k in got] == reference.cut_weights(b, n)
+        assert a.getstate() == b.getstate()
 
 
 @pytest.mark.parametrize(
@@ -299,6 +225,10 @@ mixed_payloads = st.one_of(
 )
 
 
+def _canonical(merged):
+    return sorted(merged.items(), key=lambda atom: reference.payload_key(atom[0].payload))
+
+
 def _merged(payloads):
     merged = {}
     for k, p in enumerate(payloads):
@@ -313,7 +243,7 @@ def test_keyfree_sort_equals_the_keyed_sort_on_one_family(family, data):
     merged = _merged(payloads)
     items = list(merged.items())
     _sort_atoms(items)
-    assert tuple(items) == reference_canonical_atoms(merged)
+    assert items == _canonical(merged)
 
 
 @settings(max_examples=300, deadline=None)
@@ -322,7 +252,7 @@ def test_keyfree_sort_equals_the_keyed_sort_on_mixed_payloads(payloads):
     merged = _merged(payloads)
     items = list(merged.items())
     _sort_atoms(items)
-    assert tuple(items) == reference_canonical_atoms(merged)
+    assert items == _canonical(merged)
 
 
 def test_homogeneous_payloads_sort_without_keys():

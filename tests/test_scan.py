@@ -1,8 +1,8 @@
 """The exhaustive-or-sampled scan driver and the verdicts built on it.
 
-The four scans that run through `spaces.scan` are checked against their
-earlier loop-per-check bodies, kept below as reference oracles; the
-compute-once tests count how often each compat scan runs.
+The four scans that run through `spaces.scan` are checked against the
+model in `reference`; the compute-once tests count how often each compat
+scan runs.
 """
 
 import dataclasses
@@ -21,7 +21,6 @@ import girycheck.metric_ot
 from girycheck.algebra import build_algebra, coseparator_maps, full_report
 from girycheck.cli import main
 from girycheck.metric_ot import (
-    EXHAUSTIVE_CAP,
     compat_check_2pt,
     compat_check_4pt,
     default_metric,
@@ -32,7 +31,6 @@ from girycheck.spaces import (
     AffineMap,
     builtin_spaces,
     char_map,
-    combine2,
     coseparates,
     enumerate_ideals,
     is_affine,
@@ -41,137 +39,14 @@ from girycheck.spaces import (
 )
 from girycheck.verdicts import failed, passed
 from generators import random_discrete_metric, random_finite_discrete_space
+import reference
 
 REG = builtin_spaces()
 UNIT = REG["unit_interval"]
 
 
 # ---------------------------------------------------------------------------
-# reference oracles: the checks as they were written before the scan driver,
-# one loop each, kept verbatim
-
-
-def _reference_finite_elements(space):
-    return list(space.enumerate_elements()) if space.is_finite else None
-
-
-def _reference_compat_witness(space, p, lhs, rhs, **points) -> dict:
-    out = {"p": str(p), "lhs": str(lhs), "rhs": str(rhs)}
-    for key, e in points.items():
-        out[key] = space.point_str(e)
-    return out
-
-
-def _reference_compat_check_2pt(space, metric, budget=500, rng=None):
-    def holds(p, x, y, z):
-        lhs = metric(combine2(space, p, x, z), combine2(space, p, y, z))
-        rhs = p * metric(x, y)
-        return lhs <= rhs, lhs, rhs
-
-    elems = _reference_finite_elements(space)
-    if elems is not None and len(elems) ** 3 * len(P_GRID) <= EXHAUSTIVE_CAP:
-        for p in P_GRID:
-            for x in elems:
-                for y in elems:
-                    for z in elems:
-                        ok, lhs, rhs = holds(p, x, y, z)
-                        if not ok:
-                            return failed(
-                                _reference_compat_witness(space, p, lhs, rhs, x=x, y=y, z=z)
-                            )
-        return passed(exhaustive=True)
-    rng = rng or random.Random(0)
-    for _ in range(budget):
-        p = rng.choice(P_GRID)
-        x, y, z = (space.sample_element(rng) for _ in range(3))
-        ok, lhs, rhs = holds(p, x, y, z)
-        if not ok:
-            return failed(_reference_compat_witness(space, p, lhs, rhs, x=x, y=y, z=z))
-    return passed(exhaustive=False, note=f"{budget} sampled quadruples")
-
-
-def _reference_compat_check_4pt(space, metric, budget=500, rng=None):
-    def holds(p, x, y, xp, yp):
-        lhs = metric(combine2(space, p, x, y), combine2(space, p, xp, yp))
-        rhs = p * metric(x, xp) + (1 - p) * metric(y, yp)
-        return lhs <= rhs, lhs, rhs
-
-    elems = _reference_finite_elements(space)
-    if elems is not None and len(elems) ** 4 * len(P_GRID) <= EXHAUSTIVE_CAP:
-        for p in P_GRID:
-            for x in elems:
-                for y in elems:
-                    for xp in elems:
-                        for yp in elems:
-                            ok, lhs, rhs = holds(p, x, y, xp, yp)
-                            if not ok:
-                                return failed(
-                                    _reference_compat_witness(
-                                        space, p, lhs, rhs, x=x, y=y, xp=xp, yp=yp
-                                    )
-                                )
-        return passed(exhaustive=True)
-    rng = rng or random.Random(0)
-    for _ in range(budget):
-        p = rng.choice(P_GRID)
-        x, y, xp, yp = (space.sample_element(rng) for _ in range(4))
-        ok, lhs, rhs = holds(p, x, y, xp, yp)
-        if not ok:
-            return failed(_reference_compat_witness(space, p, lhs, rhs, x=x, y=y, xp=xp, yp=yp))
-    return passed(exhaustive=False, note=f"{budget} sampled quadruples")
-
-
-def _reference_is_affine(m, budget=200, rng=None):
-    dom, cod = m.domain, m.codomain
-    elems = dom.enumerate_elements()
-    if elems is not None and len(elems) ** 2 * len(P_GRID) <= 20000:
-        pairs = itertools.product(elems, elems)
-        exhaustive = True
-    else:
-        if rng is None:
-            raise ValueError("sampled affinity check needs an rng")
-        pairs = ((dom.sample_element(rng), dom.sample_element(rng)) for _ in range(budget))
-        exhaustive = False
-    for x, y in pairs:
-        for p in P_GRID:
-            lhs = m(combine2(dom, p, x, y))
-            rhs = combine2(cod, p, m(x), m(y))
-            if lhs != rhs:
-                return failed(
-                    {
-                        "map": m.name,
-                        "p": str(p),
-                        "x": dom.point_str(x),
-                        "y": dom.point_str(y),
-                        "lhs": cod.point_str(lhs),
-                        "rhs": cod.point_str(rhs),
-                    }
-                )
-    return passed(exhaustive)
-
-
-def _reference_coseparates(maps, space, budget=400, rng=None):
-    elems = space.enumerate_elements()
-    if elems is not None:
-        pairs = itertools.combinations(elems, 2)
-        exhaustive = True
-    else:
-        if rng is None:
-            raise ValueError("sampled coseparation check needs an rng")
-        pairs = (
-            (space.sample_element(rng), space.sample_element(rng)) for _ in range(budget)
-        )
-        exhaustive = False
-    for x, y in pairs:
-        if x == y:
-            continue
-        if all(m(x) == m(y) for m in maps):
-            return failed({"x": space.point_str(x), "y": space.point_str(y)})
-    return passed(exhaustive)
-
-
-# ---------------------------------------------------------------------------
-# the rewired scans match their references
+# the scans match the model
 
 BUILTIN_IDS = sorted(REG)
 BUDGETS = st.integers(min_value=1, max_value=50)
@@ -182,13 +57,11 @@ BIG_FINITE = product_space(REG["N-min"], REG["D4-min"], "NxD")
 
 
 def _same(new, ref, *args, seed):
-    """Equal Verdicts, witness and note included, from equal rng streams;
-    the stream must also end in the same state."""
+    """Verdicts with the model's JSON from equal rng streams; the stream
+    must also end in the same state."""
     rng_new, rng_ref = random.Random(seed), random.Random(seed)
-    a, b = new(*args, rng=rng_new), ref(*args, rng=rng_ref)
-    assert a == b
+    assert new(*args, rng=rng_new).to_json() == ref(*args, rng=rng_ref)
     assert rng_new.getstate() == rng_ref.getstate()
-    return a
 
 
 def _random_space_and_metric(seed):
@@ -206,8 +79,8 @@ def test_compat_scans_match_reference(sid, budget, seed):
         space = BIG_FINITE if sid == "NxD" else REG[sid]
         metric = default_metric(space)
     for new, ref in (
-        (compat_check_2pt, _reference_compat_check_2pt),
-        (compat_check_4pt, _reference_compat_check_4pt),
+        (compat_check_2pt, reference.compat_2pt),
+        (compat_check_4pt, reference.compat_4pt),
     ):
         _same(new, ref, space, metric, budget, seed=seed)
 
@@ -215,8 +88,12 @@ def test_compat_scans_match_reference(sid, budget, seed):
 def test_compat_scans_without_rng_match_reference():
     for sid in BUILTIN_IDS:
         space, metric = REG[sid], default_metric(REG[sid])
-        assert compat_check_2pt(space, metric, 20) == _reference_compat_check_2pt(space, metric, 20)
-        assert compat_check_4pt(space, metric, 20) == _reference_compat_check_4pt(space, metric, 20)
+        assert compat_check_2pt(space, metric, 20).to_json() == reference.compat_2pt(
+            space, metric, 20
+        )
+        assert compat_check_4pt(space, metric, 20).to_json() == reference.compat_4pt(
+            space, metric, 20
+        )
 
 
 def _square(space):
@@ -259,11 +136,11 @@ AFFINE_IDS = [sid for sid in BUILTIN_IDS if sid != "N-min"]
 def test_is_affine_and_coseparates_match_reference(sid, budget, seed, drop):
     space, maps = _maps_under_test(sid, seed)
     for m in maps:
-        _same(is_affine, _reference_is_affine, m, budget, seed=seed)
+        _same(is_affine, reference.is_affine, m, budget, seed=seed)
     maps = [m for m in maps if m.domain == space]
     # dropping maps makes coseparation fail on some spaces, with a witness
     for kept in (maps, maps[drop:]):
-        _same(coseparates, _reference_coseparates, kept, space, budget, seed=seed)
+        _same(coseparates, reference.coseparates, kept, space, budget, seed=seed)
 
 
 def test_first_witnesses_are_pinned():

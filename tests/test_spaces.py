@@ -42,6 +42,7 @@ from girycheck.spaces import (
     semidirect_space,
     simplex_space,
 )
+import reference
 
 REG = builtin_spaces()
 UNIT = REG["unit_interval"]
@@ -275,6 +276,13 @@ def test_semidirect_space_refuses_gluings_that_are_not_a_forest(glues, named):
         semidirect_space(branches, [("L", UNIT), ("H", UNIT)], glues, "loop")
 
 
+def test_semidirect_space_refuses_a_branch_with_two_arms():
+    branches = labels_space("lh", ("L", "H"), "max")
+    arms = [("L", UNIT), ("L", interval_space("far", 5, 9)), ("H", UNIT)]
+    with pytest.raises(ValueError, match="^branch 'L' has two arms$"):
+        semidirect_space(branches, arms, [Gluing("L", "H", F(0), ident=F(0))], "twice")
+
+
 OFF_UNIT = "is not a point of unit_interval"
 
 
@@ -427,26 +435,6 @@ def brute_force_ideals(space):
     }
 
 
-def reference_poset(space):
-    """(le_pairs, is_total, witness) by the definitions, straight from combine2."""
-    elems = space.enumerate_elements()
-    table = combine_table(space)
-
-    def le(y, x):
-        return all(table[p, y, x] == x for p in P_GRID)
-
-    s = space.point_str
-    le_pairs = tuple((y, x) for y in elems for x in elems if le(y, x))
-    for x, y in itertools.combinations(elems, 2):
-        for p in P_GRID:
-            c = table[p, x, y]
-            if c != x and c != y:
-                return le_pairs, False, {"x": s(x), "y": s(y), "combines_to": s(c), "p": str(p)}
-        if not le(x, y) and not le(y, x):
-            return le_pairs, False, {"x": s(x), "y": s(y), "incomparable": "true"}
-    return le_pairs, True, {}
-
-
 def assert_structure_matches_combine2(space):
     elems = space.enumerate_elements()
     table = combine_table(space)
@@ -456,7 +444,7 @@ def assert_structure_matches_combine2(space):
             s = frozenset(sub)
             assert is_ideal(space, s) == closed_under_combine(table, elems, s)
     rep = discrete_poset(space)
-    assert (rep.le_pairs, rep.is_total, rep.witness) == reference_poset(space)
+    assert (rep.le_pairs, rep.is_total, rep.witness) == reference.discrete_poset(space)
 
 
 @pytest.mark.parametrize("sid", ["C", "two", "chain-max", "D4-min", "point"])

@@ -1,10 +1,21 @@
-"""The runtime imports nothing outside the standard library."""
+"""Import rules read from the source: the runtime imports nothing outside
+the standard library, and the tests' one model of the package, in
+`reference.py`, imports only data types from it."""
 
 import ast
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+# the names reference.py may import from girycheck: data types and P_GRID
+MODEL_IMPORTS = {
+    "girycheck.extvalue": {"INF", "ExtValue"},
+    "girycheck.measures": {"FinMeasure", "MetaMeasure"},
+    "girycheck.spaces": {
+        "P_GRID", "Element", "Box", "Branched", "ExtendedLine", "FiniteDiscrete", "Interval",
+        "Product", "Simplex",
+    },
+}
 
 
 def test_runtime_imports_only_the_standard_library():
@@ -53,3 +64,26 @@ def test_every_imported_name_is_read():
 def test_package_declares_no_runtime_dependencies():
     lines = (ROOT / "pyproject.toml").read_text().splitlines()
     assert "dependencies = []" in lines
+
+
+def test_only_the_model_defines_reference_functions():
+    found = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path in sorted((ROOT / "tests").glob("*.py"))
+        if path.name != "reference.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.lstrip("_").startswith("reference_")
+    ]
+    assert not found
+
+
+def test_the_model_imports_only_data_types_from_girycheck():
+    path = ROOT / "tests" / "reference.py"
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+            assert all(m.split(".")[0] != "girycheck" for m in modules), node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "girycheck":
+            names = {alias.name for alias in node.names}
+            assert names <= MODEL_IMPORTS.get(node.module, set()), (node.lineno, names)
