@@ -3,6 +3,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from girycheck.extvalue import INF, ExtValue
 from girycheck.measures import (
@@ -32,6 +34,7 @@ from girycheck.spaces import (
     ext_element,
 )
 from generators import random_tower
+import reference
 
 REG = builtin_spaces()
 UNIT = REG["unit_interval"]
@@ -108,6 +111,64 @@ def test_float_weights_are_refused_by_every_mixture(ws):
         with pytest.raises(ValueError, match="float weight"):
             mix()
 
+
+# Each pair list draws in-space atoms (repeats likely) with nonnegative
+# Fraction or int weights, zeros included; half the lists are rescaled to
+# total 1, so the success path is reached and not just the total-mass error.
+# One list in four gets a stray atom (foreign space, or not a measure at
+# all) and one in four a negative weight, at a random position.
+FIN_ATOMS = [UNIT.element(F(k, 4)) for k in range(5)]
+FIN_STRAYS = [CHAIN.element("a"), "x", None]
+META_ATOMS = [
+    dirac(UNIT.element(0)),
+    dirac(UNIT.element(1)),
+    FinMeasure.from_pairs(UNIT.id, [(UNIT.element(0), F(1, 3)), (UNIT.element(1), F(2, 3))]),
+]
+META_STRAYS = [dirac(CHAIN.element("a")), UNIT.element(0), "x"]
+WEIGHTS = st.one_of(
+    st.fractions(min_value=0, max_value=2, max_denominator=6),
+    st.integers(min_value=0, max_value=2),
+)
+NEGATIVE = st.one_of(
+    st.fractions(max_value=F(-1, 6), min_value=-1, max_denominator=6),
+    st.just(-1),
+)
+
+
+@st.composite
+def pair_lists(draw, atoms, strays):
+    pairs = draw(st.lists(st.tuples(st.sampled_from(atoms), WEIGHTS), max_size=6))
+    total = sum(F(w) for _, w in pairs)
+    if total and draw(st.booleans()):
+        pairs = [(a, F(w) / total) for a, w in pairs]
+    fault = draw(st.sampled_from((None, None, "stray", "negative")))
+    if fault == "stray":
+        extra = (draw(st.sampled_from(strays)), draw(WEIGHTS))
+    elif fault == "negative":
+        extra = (draw(st.sampled_from(atoms)), draw(NEGATIVE))
+    if fault:
+        pairs.insert(draw(st.integers(0, len(pairs))), extra)
+    return pairs
+
+
+def _outcome(build, space_id, pairs):
+    try:
+        M = build(space_id, pairs)
+    except Exception as exc:
+        return (type(exc), str(exc))
+    assert all(type(w) is F for _, w in M.atoms)
+    return ("ok", M.atoms)
+
+
+@settings(max_examples=200)
+@given(pair_lists(FIN_ATOMS, FIN_STRAYS), pair_lists(META_ATOMS, META_STRAYS))
+def test_from_pairs_matches_reference(fin_pairs, meta_pairs):
+    assert _outcome(FinMeasure.from_pairs, UNIT.id, fin_pairs) == _outcome(
+        reference.fin_from_pairs, UNIT.id, fin_pairs
+    )
+    assert _outcome(MetaMeasure.from_pairs, UNIT.id, meta_pairs) == _outcome(
+        reference.meta_from_pairs, UNIT.id, meta_pairs
+    )
 
 # sha256 of 50 seeded random_meta draws per space, in canonical text form.
 # They pin both what the sampler draws and the canonical atom order, which

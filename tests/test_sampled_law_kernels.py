@@ -27,7 +27,7 @@ from girycheck.algebra import (
 )
 from girycheck.extvalue import INF, ExtValue
 from girycheck.measures import FinMeasure, MetaMeasure, _flatten, expectation_functional, mu
-from girycheck.sampling import random_measure, random_meta
+from girycheck.sampling import _cut_numerators, random_measure, random_meta
 from girycheck.spaces import (
     P_GRID,
     RINF,
@@ -418,6 +418,17 @@ def test_random_measure_draws_like_the_reference(sid):
                 assert a.getstate() == b.getstate()
                 assert all(type(w) is Fraction for _, w in got.atoms)
                 assert all(space.element(e.payload) == e for e, _ in got.atoms)
+
+
+def test_random_weights_draw_like_the_reference():
+    # random_measure's weights: n numerators over 24, the gaps between the
+    # model's n - 1 sorted cuts, drawn with the same rng calls.
+    a, b = random.Random(3), random.Random(3)
+    for n in list(range(1, 9)) * 20:
+        got = _cut_numerators(a, n)
+        assert len(got) == n and sum(got) == 24 and min(got) >= 0
+        assert [Fraction(k, 24) for k in got] == reference.cut_weights(b, n)
+        assert a.getstate() == b.getstate()
 
 
 @pytest.mark.parametrize(

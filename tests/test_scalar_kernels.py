@@ -175,7 +175,7 @@ def test_box_and_simplex_draws_equal_the_fraction_draws(box_bounds, n, seed):
         assert a.getstate() == b.getstate()
 
 
-def test_weight_cuts_draw_like_the_model():
+def test_random_weights_equal_the_fraction_weights():
     a, b = random.Random(3), random.Random(3)
     for n in list(range(1, 9)) * 30:
         got = _cut_numerators(a, n)
