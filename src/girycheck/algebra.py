@@ -8,10 +8,17 @@ glued spaces.  build_algebra only decides whether that map is an algebra
 (metric compatibility, a total order, its components and arms); spaces
 where it is not are rejected with explicit witnesses rather than errors,
 and the rejection is as much a result as a constructed operator.
+
+full_report checks a built operator's laws on seeded samples, except that
+on a label carrier of at most DECIDED_LABELS labels it decides the
+multiplication law and the support condition over every support: such a
+carrier's combine reads only which atoms are present, so h depends only on
+the support (see _decide_on_supports).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field, replace
@@ -24,6 +31,7 @@ from .measures import (
     _merged_atoms,
     dirac,
     expectation_functional,
+    mu,
     support,
     to_text,
 )
@@ -433,7 +441,14 @@ def coseparator_maps(space: ConvexSpaceSpec):
 
 
 def full_report(space: ConvexSpaceSpec, metric: ExtMetric = None, budget: int = 300, rng=None):
-    """Build the algebra and run every applicable law; Rejection passes through."""
+    """Build the algebra and run every applicable law; Rejection passes through.
+
+    On a label carrier of at most DECIDED_LABELS labels the multiplication
+    law and the support condition are decided (see _decide_on_supports),
+    and their streams go unused; every law's seed is still drawn in its
+    place, so the other streams and the caller's rng end as when all four
+    laws are sampled.
+    """
     metric = metric if metric is not None else default_metric(space)
     rng = rng or random.Random(29)
     alg = build_algebra(space, metric, budget, random.Random(rng.randrange(2**30)))
@@ -443,13 +458,88 @@ def full_report(space: ConvexSpaceSpec, metric: ExtMetric = None, budget: int = 
         # geometric reports reserve one stream for compat, which build_algebra
         # ran above; drawing it keeps the seeds of the law streams below
         rng.randrange(2**30)
-    unit = verify_unit_law(alg, 200, random.Random(rng.randrange(2**30)))
-    mult = verify_mult_law(alg, budget, random.Random(rng.randrange(2**30)))
-    cosep = verify_coseparator_property(
-        alg, coseparator_maps(space), 200, random.Random(rng.randrange(2**30))
+    unit_rng, mult_rng, cosep_rng, supp_rng = (
+        random.Random(rng.randrange(2**30)) for _ in range(4)
     )
-    supp = support_condition_check(alg, 200, random.Random(rng.randrange(2**30)))
+    unit = verify_unit_law(alg, 200, unit_rng)
+    mult, supp = _decide_on_supports(alg)
+    if mult is None:
+        mult = verify_mult_law(alg, budget, mult_rng)
+    if supp is None:
+        supp = support_condition_check(alg, 200, supp_rng)
+    cosep = verify_coseparator_property(alg, coseparator_maps(space), 200, cosep_rng)
     return AlgebraReport(space.id, alg.provenance, unit, mult, cosep, supp, alg.compat)
+
+
+# the most labels on which full_report decides the multiplication law and
+# the support condition, over all 2**n - 1 supports; N-min's 32 stay sampled
+DECIDED_LABELS = 10
+
+
+def _is_semilattice(t) -> bool:
+    """Is the binary table t idempotent, commutative and associative?"""
+    ns = range(len(t))
+    return all(t[i][i] == i for i in ns) and all(
+        t[i][j] == t[j][i] and t[t[i][j]][k] == t[i][t[j][k]] for i in ns for j in ns for k in ns
+    )
+
+
+def _decide_on_supports(h: AlgebraMap):
+    """(multiplication law, support condition) of h, decided on a label
+    carrier of at most DECIDED_LABELS labels; None for each verdict left to
+    sampling: both elsewhere, the law also where the binary rule is not one
+    semilattice table for every p.
+
+    A label carrier's combine reads only which atoms are present, so h(P)
+    depends only on supp P, and one uniform measure P_S per support S stands
+    for every measure on S.  The support condition holds iff each h(P_S)
+    lies in S.  On a semilattice table the law holds iff each h(P_S) is the
+    table's fold of S.  The first support to break the fold, taken in order
+    of size, gives the meta-measure witness Q = ½·δ(P_{S∖x}) + ½·δ(δₓ), x
+    the last label of S: the fold holds on the smaller supports S∖x and
+    {fold(S∖x), x}, so h(μQ) = h(P_S) differs from h(𝒢h Q) = fold(S)."""
+    space = h.space
+    carrier = space.carrier
+    if not isinstance(carrier, FiniteDiscrete) or len(carrier.labels) > DECIDED_LABELS:
+        return None, None
+    c = space.compiled
+    sid, elems = space.id, c.elems
+    half = Fraction(1, 2)
+
+    def uniform(S):
+        return FinMeasure.from_pairs(sid, [(elems[i], Fraction(1, len(S))) for i in S])
+
+    indices = range(len(elems))
+    supports = [S for k in range(1, len(elems) + 1) for S in itertools.combinations(indices, k)]
+    cases = [(S, h(uniform(S))) for S in supports]
+    count = len(cases)
+
+    def lands(case):
+        S, out = case
+        if c.index[out] in S:
+            return None
+        return {"P": to_text(uniform(S), space), "h": space.point_str(out)}
+
+    supp = check_all(cases, lands, True, f"decided: h lands in every support ({count})")
+    t = c.tables[0]
+    if any(other != t for other in c.tables[1:]) or not _is_semilattice(t):
+        return None, supp
+
+    def folds(case):
+        S, out = case
+        if out == elems[functools.reduce(lambda a, b: t[a][b], S)]:
+            return None
+        Q = MetaMeasure.from_pairs(sid, [(uniform(S[:-1]), half), (dirac(elems[S[-1]]), half)])
+        images = FinMeasure.from_pairs(sid, [(h(P), q) for P, q in Q.atoms])
+        return {
+            "Q": _meta_text(Q, space),
+            "flatten_then_h": space.point_str(h(mu(Q))),
+            "h_inside_then_h": space.point_str(h(images)),
+        }
+
+    note = f"decided: h is the semilattice fold on every support ({count})"
+    mult = check_all(cases, folds, True, note)
+    return mult, supp
 
 
 # ---------------------------------------------------------------------------

@@ -352,7 +352,7 @@ def test_report_all_is_byte_identical_across_hash_seeds(tmp_path):
     # A pinned digest: any change to a sampler draw, a canonical atom order
     # or a verdict changes these bytes.
     assert hashlib.sha256(b1).hexdigest() == (
-        "ba488af3817588394e3c94f9833f482b43f21fdedcc8a8eee88671e86e14ba18"
+        "87dc9f94c0e964dc3e3c1c441ec82930edb81116b7b76c965b8b63ca681d10c1"
     )
     doc = json.loads(b1)
     assert doc["schema"] == 1 and doc["seed"] == 7
@@ -404,20 +404,20 @@ def report_all(tmp_path, name):
 
 # sha256 of `report-all --seed S --format json` at the default budget: any
 # change to a draw, a verdict, a witness or a note moves these bytes
-@pytest.mark.parametrize(
-    "seed, digest",
-    [
-        (2026, "577973dd4b0db520ca3e651d0cb7a859cc91696558a3e96f111d2c483d854a82"),
-        (1, "7a176e5d63e12e30127c43248756ad906869148207991a162b23667eee571dc0"),
-    ],
-)
-def test_report_all_default_budget_bytes_are_pinned(tmp_path, seed, digest):
+DEFAULT_BUDGET_DIGESTS = {
+    2026: "df4090a5e4af7761845e2ea162887583a8bc6ad5d613034235434d0f722a4b34",
+    1: "2c6d86465b67bcc6b719d91cd92812dd62224abd288eca10183a82d9ed9b5331",
+}
+
+
+@pytest.mark.parametrize("seed", DEFAULT_BUDGET_DIGESTS)
+def test_report_all_default_budget_bytes_are_pinned(tmp_path, seed):
     argv = ["report-all", "--seed", str(seed), "--format", "json"]
     doc, ok = cli.run(cli._build_parser().parse_args(argv))
     out = tmp_path / "report.json"
     cli._emit(doc, "json", str(out), 0.0)
     assert ok is True
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DEFAULT_BUDGET_DIGESTS[seed]
     assert_no_child_left()
 
 

@@ -1,11 +1,9 @@
-import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
 
 from girycheck.fields import (
-    SetField,
     agreement_check,
     dyadic_field,
     dyadic_grid,

@@ -16,7 +16,6 @@ from girycheck.metric_ot import default_metric
 from girycheck.spaces import (
     P_GRID,
     AffineMap,
-    Element,
     Gluing,
     SpaceKind,
     WeightVector,

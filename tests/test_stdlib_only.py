@@ -35,12 +35,14 @@ def test_runtime_imports_only_the_standard_library():
 
 
 def test_every_imported_name_is_read():
-    """__init__.py re-exports its imports, so it is left out."""
-    sources = sorted((ROOT / "src" / "girycheck").glob("*.py"))
-    assert sources
+    """In the package and in the tests; the package's __init__.py
+    re-exports its imports, so it is left out."""
+    package = sorted((ROOT / "src" / "girycheck").glob("*.py"))
+    tests = sorted((ROOT / "tests").glob("*.py"))
+    assert package and tests
     unused = []
-    for path in sources:
-        if path.name == "__init__.py":
+    for path in package + tests:
+        if path == ROOT / "src" / "girycheck" / "__init__.py":
             continue
         tree = ast.parse(path.read_text(), str(path))
         imported = {}
@@ -56,8 +58,8 @@ def test_every_imported_name_is_read():
             for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
         }
-        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
-                   if name not in read]
+        unused += [f"{path.parent.name}/{path.name}:{line} {name}"
+                   for name, line in imported.items() if name not in read]
     assert not unused
 
 
