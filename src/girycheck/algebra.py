@@ -9,11 +9,19 @@ glued spaces.  build_algebra only decides whether that map is an algebra
 where it is not are rejected with explicit witnesses rather than errors,
 and the rejection is as much a result as a constructed operator.
 
-full_report checks a built operator's laws on seeded samples, except that
-on a label carrier of at most DECIDED_LABELS labels it decides the
-multiplication law and the support condition over every support: such a
-carrier's combine reads only which atoms are present, so h depends only on
-the support (see _decide_on_supports).
+full_report checks a built operator's laws on seeded samples, except where
+a lemma decides them:
+- on a label carrier of at most DECIDED_LABELS labels, the multiplication
+  law and the support condition, over every support: such a carrier's
+  combine reads only which atoms are present, so h depends only on the
+  support (see _decide_on_supports);
+- on a barycentric carrier (spaces.BARYCENTRIC, by exact type), where h is
+  the weighted mean, the multiplication law by linearity of expectation and
+  the coseparator law because every test map is affine; on a product, the
+  multiplication law where every component's law is decided
+  (_decided_mult_law); compat under the library's own norms
+  (metric_ot.decided_compat);
+- on a one-point carrier, the coseparator law, on its one measure.
 """
 
 from __future__ import annotations
@@ -35,9 +43,10 @@ from .measures import (
     support,
     to_text,
 )
-from .metric_ot import ExtMetric, compat_check_2pt, default_metric
+from .metric_ot import ExtMetric, compat_check_2pt, decided_compat, default_metric
 from .sampling import _TWENTY_FOURTHS, _draw_meta_atoms, _measure_on_24ths, random_measure
 from .spaces import (
+    BARYCENTRIC,
     P_GRID,
     AffineMap,
     Box,
@@ -59,7 +68,7 @@ from .spaces import (
     as_ext,
     projection,
 )
-from .verdicts import Verdict, check_all, failed
+from .verdicts import Verdict, check_all, failed, passed
 
 
 @dataclass(frozen=True)
@@ -152,6 +161,9 @@ def build_algebra(space: ConvexSpaceSpec, metric: ExtMetric = None, budget: int 
 
     def compat():
         resolved = metric if metric is not None else default_metric(space)
+        decided = decided_compat(space, resolved)
+        if decided is not None:
+            return decided
         if rng is not None:
             return compat_check_2pt(space, resolved, budget, rng)
         # keyed by the metric as given, default_metric standing for None
@@ -443,11 +455,9 @@ def coseparator_maps(space: ConvexSpaceSpec):
 def full_report(space: ConvexSpaceSpec, metric: ExtMetric = None, budget: int = 300, rng=None):
     """Build the algebra and run every applicable law; Rejection passes through.
 
-    On a label carrier of at most DECIDED_LABELS labels the multiplication
-    law and the support condition are decided (see _decide_on_supports),
-    and their streams go unused; every law's seed is still drawn in its
-    place, so the other streams and the caller's rng end as when all four
-    laws are sampled.
+    A law that a lemma decides (see the module docstring) leaves its stream
+    unused; every law's seed is still drawn in its place, so the other
+    streams and the caller's rng end as when all four laws are sampled.
     """
     metric = metric if metric is not None else default_metric(space)
     rng = rng or random.Random(29)
@@ -464,11 +474,49 @@ def full_report(space: ConvexSpaceSpec, metric: ExtMetric = None, budget: int = 
     unit = verify_unit_law(alg, 200, unit_rng)
     mult, supp = _decide_on_supports(alg)
     if mult is None:
-        mult = verify_mult_law(alg, budget, mult_rng)
+        mult = _decided_mult_law(space) or verify_mult_law(alg, budget, mult_rng)
     if supp is None:
         supp = support_condition_check(alg, 200, supp_rng)
-    cosep = verify_coseparator_property(alg, coseparator_maps(space), 200, cosep_rng)
+    maps = coseparator_maps(space)
+    if type(space.carrier) in BARYCENTRIC:
+        cosep = passed(True, _AFFINE_MAPS_NOTE.format(len(maps)))
+    elif space.is_finite and len(space.enumerate_elements()) == 1:
+        # the Dirac measure is the only measure on one point: one draw is all
+        cosep = verify_coseparator_property(alg, maps, 1, cosep_rng)
+        if cosep.ok:
+            cosep = passed(True, f"decided: one point has one measure (1 measure x {len(maps)} maps)")
+    else:
+        cosep = verify_coseparator_property(alg, maps, 200, cosep_rng)
     return AlgebraReport(space.id, alg.provenance, unit, mult, cosep, supp, alg.compat)
+
+
+_MEAN_LAW_NOTE = "decided: h is the weighted mean, so h(mu Q) = h(Gh Q) by linearity of expectation"
+_AFFINE_MAPS_NOTE = "decided: h is the weighted mean and each of the {} test maps is affine"
+_PRODUCT_LAW_NOTE = "decided: h is componentwise and every component's law is decided"
+
+
+def _decided_mult_law(space) -> Optional[Verdict]:
+    """The multiplication law of the space's combination rule, passed by a
+    lemma, or None to sample it.
+
+    On a barycentric carrier h(P) = Σ w·x, so h(μQ) = Σ_P q_P·h(P) = h(𝒢h Q)
+    by linearity of expectation (the convex spaces are the algebras of the
+    finite-distribution monad).  A product's h is its components' h on the
+    projected measures, and projection commutes with μ and 𝒢, so its law
+    holds where every component's law is decided: a barycentric carrier, a
+    product of such, or a label carrier whose fold _decide_on_supports
+    passes."""
+    carrier = space.carrier
+    if type(carrier) in BARYCENTRIC:
+        return passed(True, _MEAN_LAW_NOTE)
+    if type(carrier) is Product:
+        for comp in carrier.components:
+            h = user_algebra(comp, _combination_rule(comp))
+            law = _decided_mult_law(comp) or _decide_on_supports(h)[0]
+            if law is None or not law.ok:
+                return None
+        return passed(True, _PRODUCT_LAW_NOTE)
+    return None
 
 
 # the most labels on which full_report decides the multiplication law and

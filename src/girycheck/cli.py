@@ -34,6 +34,7 @@ from .metric_ot import (
     brute_force_wasserstein,
     compat_check_2pt,
     compat_check_4pt,
+    decided_compat,
     discrete_metric,
     equiv_check,
     equiv_verdict,
@@ -242,8 +243,9 @@ def _laws_section(space, metric, seed, budget) -> dict:
 
 
 def _compat_section(space, metric, seed, budget) -> dict:
-    two = compat_check_2pt(space, metric, budget, _rng(seed, f"compat2/{space.id}"))
-    four = compat_check_4pt(space, metric, budget, _rng(seed, f"compat4/{space.id}"))
+    decided = decided_compat(space, metric)
+    two = decided or compat_check_2pt(space, metric, budget, _rng(seed, f"compat2/{space.id}"))
+    four = decided or compat_check_4pt(space, metric, budget, _rng(seed, f"compat4/{space.id}"))
     eq = equiv_verdict(two, four)
     return {
         "two_point": two.to_json(),

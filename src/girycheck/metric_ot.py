@@ -9,6 +9,11 @@ finite cost), and `_finish` alone turns the result back into exact
 rationals.  A plan that cannot avoid infinite pairs has distance inf, and
 the independent coupling is reported as the canonical plan in that case.
 
+Compat is decided, not scanned, for the library's own norm metrics on the
+barycentric carriers (decided_compat): the l1 and linf kernels and ext-abs
+are module-level functions, recognised by identity.  Every other metric is
+scanned by compat_check_2pt and compat_check_4pt, which stay the oracles.
+
 Each simplex pivot walks its basis tree once: one BFS from row 0 gives the
 potentials and the parent links, and the entering cycle is read off the
 parent links.
@@ -23,11 +28,13 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import lcm
+from typing import Optional
 
 from .extvalue import INF, ExtValue, ext_abs_diff, ext_sum
 from .measures import FinMeasure, pushforward, to_text
 from .sampling import random_measure
 from .spaces import (
+    BARYCENTRIC,
     Box,
     Branched,
     ConvexSpaceSpec,
@@ -40,7 +47,7 @@ from .spaces import (
     combine2,
     scan,
 )
-from .verdicts import FAIL, PASS, SAMPLED_PASS, Verdict, check_all, failed
+from .verdicts import FAIL, PASS, SAMPLED_PASS, Verdict, check_all, failed, passed
 
 # exhaustive compat scans are capped at this many inequality evaluations
 EXHAUSTIVE_CAP = 300_000
@@ -67,27 +74,45 @@ class ExtMetric:
 # metric constructors
 
 
-def l1_metric(space: ConvexSpaceSpec) -> ExtMetric:
-    def d(x, y):
-        a, b = x.payload, y.payload
-        if not isinstance(a, tuple):
-            a, b = (a,), (b,)
-        return ExtValue(sum(abs(s - t) for s, t in zip(a, b)))
+# the kernels of the library's own norm metrics, shared by every space so
+# that decided_compat can recognise them by identity
 
-    return ExtMetric(space.id, "l1", d)
+
+def _coordinates(x, y):
+    a, b = x.payload, y.payload
+    return ((a,), (b,)) if not isinstance(a, tuple) else (a, b)
+
+
+def _l1_distance(x, y):
+    a, b = _coordinates(x, y)
+    return ExtValue(sum(abs(s - t) for s, t in zip(a, b)))
+
+
+def _linf_distance(x, y):
+    a, b = _coordinates(x, y)
+    return ExtValue(max(abs(s - t) for s, t in zip(a, b)))
+
+
+def _ext_abs_distance(x, y):
+    return ext_abs_diff(x.payload, y.payload)
+
+
+def l1_metric(space: ConvexSpaceSpec) -> ExtMetric:
+    return ExtMetric(space.id, "l1", _l1_distance)
 
 
 def linf_metric(space: ConvexSpaceSpec) -> ExtMetric:
-    def d(x, y):
-        a, b = x.payload, y.payload
-        if not isinstance(a, tuple):
-            a, b = (a,), (b,)
-        return ExtValue(max(abs(s - t) for s, t in zip(a, b)))
-
-    return ExtMetric(space.id, "linf", d)
+    return ExtMetric(space.id, "linf", _linf_distance)
 
 
 def discrete_metric(space: ConvexSpaceSpec) -> ExtMetric:
+    """0/1 distance, on a carrier with countably many points only: the
+    discrete metric on a continuum is not separable, so no monad covers it."""
+    if not space.is_finite:
+        raise ValueError(
+            f"the discrete metric needs a finite carrier: on {space.id} it is not separable"
+        )
+
     def d(x, y):
         return ExtValue(0 if x.payload == y.payload else 1)
 
@@ -107,10 +132,7 @@ def order_metric(space: ConvexSpaceSpec) -> ExtMetric:
 
 
 def extended_abs_metric(space: ConvexSpaceSpec) -> ExtMetric:
-    def d(x, y):
-        return ext_abs_diff(x.payload, y.payload)
-
-    return ExtMetric(space.id, "ext-abs", d)
+    return ExtMetric(space.id, "ext-abs", _ext_abs_distance)
 
 
 def table_metric(space: ConvexSpaceSpec, table: dict) -> ExtMetric:
@@ -195,6 +217,36 @@ def default_metric(space: ConvexSpaceSpec) -> ExtMetric:
 # compatibility of metric with the convex structure
 
 
+_NORM_NOTE = "decided: the {} norm makes the 2-point form an equality, the 4-point form subadditivity"
+
+
+def decided_compat(space: ConvexSpaceSpec, metric) -> Optional[Verdict]:
+    """The pass verdict of both compat forms where a lemma decides them,
+    else None, to scan.
+
+    On a carrier of exactly type Interval, Box or Simplex (a subclass may
+    combine otherwise) h is the weighted mean, so under the l1 or linf norm
+    d(px + (1-p)z, py + (1-p)z) = |p(x - y)| = p*d(x, y), and the 4-point
+    form is the triangle inequality.  On exactly ExtendedLine with ext-abs
+    the same holds on finite points; a combination with an infinite atom is
+    inf, at distance 0 from inf and inf from every finite point, and the
+    right side then carries p or 1 - p times an infinite distance.  The
+    metric must be an ExtMetric of this space whose rule is the library's
+    own kernel: a foreign rule under the same name is scanned.
+    """
+    carrier = type(space.carrier)
+    if type(metric) is not ExtMetric or metric.space_id != space.id or carrier not in BARYCENTRIC:
+        return None
+    kernel = metric.fn
+    if carrier is ExtendedLine:
+        if kernel is _ext_abs_distance:
+            return passed(True, "decided: ext-abs is the norm |x - y| on finite points, and inf absorbs")
+    elif kernel is _l1_distance or kernel is _linf_distance:
+        norm = "l1" if kernel is _l1_distance else "linf"
+        return passed(True, _NORM_NOTE.format(norm))
+    return None
+
+
 def compat_check_2pt(
     space: ConvexSpaceSpec, metric: ExtMetric, budget: int = 500, rng=None
 ) -> Verdict:
@@ -239,7 +291,10 @@ def equiv_check(
     space: ConvexSpaceSpec, metric: ExtMetric, budget: int = 500, rng=None
 ) -> Verdict:
     """Run both compatibility scans on streams drawn from rng and judge
-    their agreement with equiv_verdict."""
+    their agreement with equiv_verdict; a decided compat scans neither."""
+    decided = decided_compat(space, metric)
+    if decided is not None:
+        return equiv_verdict(decided, decided)
     rng = rng or random.Random(0)
     two = compat_check_2pt(space, metric, budget, random.Random(rng.random()))
     four = compat_check_4pt(space, metric, budget, random.Random(rng.random()))

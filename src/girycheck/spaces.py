@@ -401,6 +401,11 @@ class ExtendedLine:
         return parse_ext(s)
 
 
+# the carriers whose combine is the weighted mean of the atoms, inf
+# absorbing; matched by exact type, since a subclass may combine otherwise
+BARYCENTRIC = (Interval, Box, Simplex, ExtendedLine)
+
+
 @dataclass(frozen=True)
 class FiniteDiscrete:
     """Finite label set with a p-independent combination rule.

@@ -80,6 +80,7 @@ def test_parse_errors_carry_line_numbers(tmp_path):
         ("space X kind=discrete carrier=naturals -3", "empty carrier"),
         ("space X kind=discrete carrier=labels", "empty carrier"),
         ("glue A@x -> B@0", "glue endpoint 'A@x'"),
+        ("space X kind=geometric carrier=interval 0 1 metric=discrete", "needs a finite carrier"),
     ]
     for k, (line, fragment) in enumerate(cases):
         path = write_spaces(tmp_path, "\n" * k + line + "\n")
@@ -159,6 +160,16 @@ def test_gluings_that_are_not_a_tree_are_parse_errors(tmp_path, case):
     res = run_cli("check-laws", "--spaces", path, "--space", space_id)
     assert res.returncode == 2
     assert f"line {line}: {message}" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_a_discrete_metric_on_a_continuum_exits_two(tmp_path):
+    # an uncountable discrete space is not separable, so no monad covers it;
+    # it once parsed, and check-laws --space all then exited 1
+    path = write_spaces(tmp_path, "space I kind=geometric carrier=interval 0 1 metric=discrete\n")
+    res = run_cli("check-laws", "--spaces", path, "--space", "all")
+    assert res.returncode == 2
+    assert "line 1: the discrete metric needs a finite carrier" in res.stderr
     assert "Traceback" not in res.stderr
 
 
@@ -352,7 +363,7 @@ def test_report_all_is_byte_identical_across_hash_seeds(tmp_path):
     # A pinned digest: any change to a sampler draw, a canonical atom order
     # or a verdict changes these bytes.
     assert hashlib.sha256(b1).hexdigest() == (
-        "87dc9f94c0e964dc3e3c1c441ec82930edb81116b7b76c965b8b63ca681d10c1"
+        "17ecfed0c08276ee309b3d581a30ecf5926e573a84147f659beda44917759936"
     )
     doc = json.loads(b1)
     assert doc["schema"] == 1 and doc["seed"] == 7
@@ -405,8 +416,8 @@ def report_all(tmp_path, name):
 # sha256 of `report-all --seed S --format json` at the default budget: any
 # change to a draw, a verdict, a witness or a note moves these bytes
 DEFAULT_BUDGET_DIGESTS = {
-    2026: "df4090a5e4af7761845e2ea162887583a8bc6ad5d613034235434d0f722a4b34",
-    1: "2c6d86465b67bcc6b719d91cd92812dd62224abd288eca10183a82d9ed9b5331",
+    2026: "d09146c93a1a04de14f51f0b6e575eea0fb81338bed2d18a358c59c79ebf63a2",
+    1: "fa381babc954e6fefbb861726f328f8dca2959beee6a10ad6b50730e04a8534d",
 }
 
 

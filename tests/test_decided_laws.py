@@ -1,11 +1,19 @@
-"""The multiplication law and the support condition, decided on small label
-carriers.
+"""The laws that full_report decides instead of sampling.
 
-Both decisions rest on one lemma: a label carrier's `combine` reads only
-which atoms are present, so h(P) depends only on supp P.  A hypothesis
-property pins the lemma; the decided verdicts are checked against the
-sampled laws and the model's law on the built-in label carriers and on
-random total ones, and two broken carriers drive the failure paths.
+On small label carriers the multiplication law and the support condition
+rest on one lemma: a label carrier's `combine` reads only which atoms are
+present, so h(P) depends only on supp P.  A hypothesis property pins the
+lemma; the decided verdicts are checked against the sampled laws and the
+model's law on the built-in label carriers and on random total ones, and
+two broken carriers drive the failure paths.
+
+On the barycentric carriers (exactly Interval, Box, Simplex and
+ExtendedLine) h is the weighted mean, which `tests/test_scalar_kernels.py`
+pins against the model; the multiplication law, the coseparator law and,
+under the library's own norms, compat are decided from it.  The sampled
+oracles must pass wherever a verdict is decided, hypothesis properties pin
+the compat lemma and the affinity of the test maps, and subclasses and
+foreign metrics fall back to sampling.
 """
 
 import functools
@@ -22,6 +30,7 @@ from girycheck.algebra import (
     AlgebraReport,
     _combination_rule,
     _decide_on_supports,
+    _decided_mult_law,
     coseparator_maps,
     full_report,
     support_condition_check,
@@ -30,16 +39,38 @@ from girycheck.algebra import (
     verify_mult_law,
     verify_unit_law,
 )
+from girycheck.cli import parse_space_file
+from girycheck.extvalue import INF, ExtValue
 from girycheck.measures import FinMeasure, MetaMeasure, dirac, mu, to_text
+from girycheck.metric_ot import (
+    ExtMetric,
+    compat_check_2pt,
+    compat_check_4pt,
+    decided_compat,
+    default_metric,
+    equiv_check,
+    extended_abs_metric,
+    l1_metric,
+    linf_metric,
+)
 from girycheck.spaces import (
+    Box,
     ConvexSpaceSpec,
     Element,
     FiniteDiscrete,
+    Interval,
     SpaceKind,
+    box_space,
     builtin_spaces,
+    combine2,
+    extended_line_space,
+    interval_space,
+    is_affine,
     labels_space,
+    product_space,
+    simplex_space,
 )
-from girycheck.verdicts import FAIL, PASS
+from girycheck.verdicts import FAIL, PASS, SAMPLED_PASS
 from generators import EXTRA_SPACES
 import reference
 
@@ -132,7 +163,8 @@ def test_decided_verdicts_agree_on_random_total_label_spaces():
 def test_full_report_draws_every_law_stream_in_its_place(sid):
     """The decided laws leave their streams unused, but their seeds are
     drawn as when all four laws were sampled: the caller's rng ends in the
-    same state and the other laws run on the same streams."""
+    same state, the other laws run on the same streams, and the sampled
+    laws pass on the streams of the decided ones."""
     space = REG[sid]
     rng = random.Random(5)
     rep = full_report(space, budget=30, rng=rng)
@@ -145,10 +177,17 @@ def test_full_report_draws_every_law_stream_in_its_place(sid):
     h = user_algebra(space, _combination_rule(space))
     assert rep.unit_law == verify_unit_law(h, 200, random.Random(unit))
     maps = coseparator_maps(space)
-    assert rep.coseparator_law == verify_coseparator_property(h, maps, 200, random.Random(cosep))
-    if sid in ("N-min", "unit_interval"):
+    sampled_cosep = verify_coseparator_property(h, maps, 200, random.Random(cosep))
+    if sid in ("point", "unit_interval"):
+        assert rep.coseparator_law.status == PASS and sampled_cosep.ok
+    else:
+        assert rep.coseparator_law == sampled_cosep
+    if sid == "N-min":
         assert rep.mult_law == verify_mult_law(h, 30, random.Random(mult))
         assert rep.support_condition == support_condition_check(h, 200, random.Random(supp))
+    elif sid == "unit_interval":
+        assert rep.mult_law.status == PASS and verify_mult_law(h, 30, random.Random(mult)).ok
+        assert rep.support_condition is support_condition_check(h, 200, random.Random(supp)) is None
     else:
         assert rep.mult_law.status == rep.support_condition.status == PASS
 
@@ -207,3 +246,211 @@ def test_a_rule_off_the_support_fails_the_decided_support_condition():
     P_bc = FinMeasure.from_pairs(space.id, [(b, Fraction(1, 2)), (c, Fraction(1, 2))])
     assert supp.witness == {"P": to_text(P_bc, space), "h": "a"}
     assert not support_condition_check(h, 2000, random.Random(4)).ok
+
+
+# ---------------------------------------------------------------------------
+# barycentric carriers: the decided verdicts against the sampled oracles
+
+BARYCENTRIC_IDS = ["unit_interval", "box2", "simplex3", "rinf-grid", "rplus-grid", "Rinf", "Rplus"]
+
+
+def _declared_spaces(tmp_path, count=24):
+    """count seeded random interval, box, simplex and extended-line spaces,
+    declared in a space file with the default or a named norm metric."""
+    rng = random.Random("decided/declared")
+
+    def bound():
+        return Fraction(rng.randint(-40, 40), rng.randint(1, 8))
+
+    def span(lo):
+        return lo + Fraction(rng.randint(0, 40), rng.randint(1, 8))
+
+    lines = []
+    for k in range(count):
+        carrier = ("interval", "box", "simplex", "extline")[k % 4]
+        if carrier == "interval":
+            lo = bound()
+            args, kind = f"{lo} {span(lo)}", "geometric"
+        elif carrier == "box":
+            los = [bound() for _ in range(rng.randint(1, 3))]
+            args, kind = " ".join(f"{lo} {span(lo)}" for lo in los), "geometric"
+        elif carrier == "simplex":
+            args, kind = str(rng.randint(1, 4)), "geometric"
+        else:
+            lo = rng.choice([None, bound()])
+            hi = rng.choice([None, span(lo if lo is not None else bound())])
+            args, kind = f"{'-' if lo is None else lo} {'-' if hi is None else hi}", "mixed"
+        metrics = ("default", "ext-abs") if carrier == "extline" else ("default", "l1", "linf")
+        metric = rng.choice(metrics)
+        lines.append(f"space d{k} kind={kind} carrier={carrier} {args} metric={metric}")
+    path = tmp_path / "declared.txt"
+    path.write_text("\n".join(lines) + "\n")
+    reg = parse_space_file(path)
+    return [(reg.space(f"d{k}"), reg.metric(f"d{k}")) for k in range(count)]
+
+
+def _assert_sampled_oracles_pass(space, metric, seed):
+    """Each verdict full_report decides on this space passes the unchanged
+    sampled oracle, at budgets 300 (mult law, compat) and 200 (coseparator
+    law); returns the names of the decided verdicts."""
+    rep = full_report(space, metric, rng=random.Random(seed))
+    h = user_algebra(space, _combination_rule(space))
+    decided = [
+        name for name in ("mult_law", "compat", "coseparator_law")
+        if getattr(rep, name) is not None and getattr(rep, name).note.startswith("decided:")
+    ]
+    for name in decided:
+        assert getattr(rep, name).status == PASS, (space.id, name)
+    rng = random.Random(seed)
+    if "mult_law" in decided:
+        assert verify_mult_law(h, 300, rng).ok, space.id
+    if "compat" in decided:
+        assert compat_check_2pt(space, metric, 300, rng).ok, space.id
+        assert compat_check_4pt(space, metric, 300, rng).ok, space.id
+    if "coseparator_law" in decided:
+        maps = coseparator_maps(space)
+        assert verify_coseparator_property(h, maps, 200, rng).ok, space.id
+    return decided
+
+
+def test_the_sampled_oracles_pass_where_a_builtin_verdict_is_decided():
+    decided = {}
+    for k, (sid, space) in enumerate(REG.items()):
+        if space.expect_reject:
+            continue
+        decided[sid] = _assert_sampled_oracles_pass(space, default_metric(space), k)
+    for sid in BARYCENTRIC_IDS:
+        assert decided[sid] == ["mult_law", "compat", "coseparator_law"], sid
+    assert decided["GxD"] == ["mult_law"]
+    assert decided["point"] == ["mult_law", "coseparator_law"]
+    # vee's arms are glued, and N-min's 32 labels exceed DECIDED_LABELS
+    assert decided["vee"] == decided["N-min"] == []
+
+
+def test_the_sampled_oracles_pass_on_declared_barycentric_spaces(tmp_path):
+    for k, (space, metric) in enumerate(_declared_spaces(tmp_path)):
+        assert _assert_sampled_oracles_pass(space, metric, k) == [
+            "mult_law", "compat", "coseparator_law"
+        ], space.id
+
+
+def test_every_test_map_of_a_barycentric_carrier_is_affine(tmp_path):
+    spaces = [REG[sid] for sid in BARYCENTRIC_IDS] + [s for s, _ in _declared_spaces(tmp_path)]
+    for k, space in enumerate(spaces):
+        for m in coseparator_maps(space):
+            assert is_affine(m, 100, random.Random(k)).ok, (space.id, m.name)
+
+
+# ---------------------------------------------------------------------------
+# the compat lemma
+
+NORMED = [REG["unit_interval"], REG["box2"], REG["simplex3"],
+          interval_space("wide", Fraction(-7, 2), 5), box_space("cube", [(-1, 2), (0, 1), (3, 9)])]
+EXTENDED = [REG["rinf-grid"], REG["rplus-grid"], REG["Rinf"], extended_line_space("below", None, 3)]
+P_VALUES = st.fractions(min_value=0, max_value=1, max_denominator=24)
+
+
+@st.composite
+def norm_points(draw, space):
+    carrier = space.carrier
+
+    def coordinate(lo, hi):
+        return draw(st.fractions(min_value=lo, max_value=hi, max_denominator=64))
+
+    if isinstance(carrier, Interval):
+        return space.element(coordinate(carrier.lo, carrier.hi))
+    if isinstance(carrier, Box):
+        return space.element(tuple(coordinate(lo, hi) for lo, hi in carrier.bounds))
+    ns = draw(st.lists(st.integers(0, 9), min_size=carrier.n, max_size=carrier.n))
+    ns[0] += 1 if not any(ns) else 0
+    return space.element(tuple(Fraction(n, sum(ns)) for n in ns))
+
+
+@st.composite
+def ext_points(draw, space):
+    lo, hi = space.carrier.lo, space.carrier.hi
+    lo = Fraction(-50) if lo is None else lo
+    hi = Fraction(50) if hi is None else hi
+    finite = st.fractions(min_value=lo, max_value=hi, max_denominator=64).map(ExtValue)
+    return space.element(draw(st.one_of(st.just(INF), finite)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_compat_is_an_equality_under_the_l1_and_linf_norms(data):
+    space = data.draw(st.sampled_from(NORMED))
+    d = data.draw(st.sampled_from((l1_metric, linf_metric)))(space)
+    p = data.draw(P_VALUES)
+    x, y, z, w = (data.draw(norm_points(space)) for _ in range(4))
+    assert d(combine2(space, p, x, z), combine2(space, p, y, z)) == p * d(x, y)
+    assert d(combine2(space, p, x, y), combine2(space, p, z, w)) <= p * d(x, z) + (1 - p) * d(y, w)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_compat_holds_under_ext_abs_with_inf(data):
+    space = data.draw(st.sampled_from(EXTENDED))
+    d = extended_abs_metric(space)
+    p = data.draw(P_VALUES)
+    x, y, z, w = (data.draw(ext_points(space)) for _ in range(4))
+    lhs = d(combine2(space, p, x, z), combine2(space, p, y, z))
+    assert lhs <= p * d(x, y)
+    if not any(e.payload.is_inf for e in (x, y, z)):
+        assert lhs == p * d(x, y)
+    assert d(combine2(space, p, x, y), combine2(space, p, z, w)) <= p * d(x, z) + (1 - p) * d(y, w)
+
+
+# ---------------------------------------------------------------------------
+# what stays sampled
+
+
+class SwappedInterval(Interval):
+    """The weighted mean, except that three or more atoms swap the first
+    two weights: every binary combination is still the mean."""
+
+    def combine(self, ws, ps):
+        if len(ws) >= 3:
+            ws = (ws[1], ws[0], *ws[2:])
+        return super().combine(ws, ps)
+
+
+class SwappedBox(Box):
+    """Box's mean, with SwappedInterval's fault."""
+
+    def combine(self, ws, ps):
+        if len(ws) >= 3:
+            ws = (ws[1], ws[0], *ws[2:])
+        return super().combine(ws, ps)
+
+
+@pytest.mark.parametrize("carrier", [
+    SwappedInterval(Fraction(0), Fraction(1)),
+    SwappedBox(((Fraction(0), Fraction(1)), (Fraction(-1), Fraction(1)))),
+])
+def test_a_mis_weighting_subclass_is_sampled_and_fails(carrier):
+    space = ConvexSpaceSpec("swapped", SpaceKind.GEOMETRIC, carrier)
+    assert decided_compat(space, default_metric(space)) is None
+    assert _decided_mult_law(space) is None
+    assert _decided_mult_law(product_space(space, REG["D4-min"], "swapped-x-D4")) is None
+    rep = full_report(space, rng=random.Random(1))
+    # binary combinations are the mean's, so the compat scan passes and h is built
+    assert rep.compat.status == SAMPLED_PASS
+    assert rep.mult_law.status == FAIL
+    assert set(rep.mult_law.witness) == {"Q", "flatten_then_h", "h_inside_then_h"}
+    assert rep.mult_law.witness["flatten_then_h"] != rep.mult_law.witness["h_inside_then_h"]
+    assert rep.coseparator_law.status != PASS
+
+
+def test_a_foreign_rule_named_l1_is_scanned():
+    space = REG["unit_interval"]
+    own = l1_metric(space)
+    foreign = ExtMetric(space.id, "l1", lambda x, y: own(x, y))
+    assert decided_compat(space, own).status == PASS
+    assert decided_compat(space, foreign) is None
+    rep = full_report(space, foreign, budget=30, rng=random.Random(1))
+    assert rep.compat.status == SAMPLED_PASS
+    assert equiv_check(space, foreign, 30, random.Random(1)).status == SAMPLED_PASS
+    # a norm of another space, and a kernel off its carrier, are scanned too
+    assert decided_compat(space, l1_metric(REG["box2"])) is None
+    assert decided_compat(REG["Rinf"], l1_metric(REG["Rinf"])) is None
+    assert decided_compat(simplex_space("s2", 2), extended_abs_metric(simplex_space("s2", 2))) is None

@@ -16,7 +16,9 @@ from girycheck.metric_ot import default_metric
 from girycheck.spaces import (
     P_GRID,
     AffineMap,
+    ConvexSpaceSpec,
     Gluing,
+    Interval,
     SpaceKind,
     WeightVector,
     as_ext,
@@ -497,11 +499,20 @@ def test_rngless_compat_verdicts_die_with_their_spec():
     assert ref() is None
 
 
+class ScannedInterval(Interval):
+    """[lo, hi] as Interval combines it, but of another type, so that the
+    norm lemma does not decide its compat and build_algebra scans it."""
+
+
+def _scanned_interval():
+    return ConvexSpaceSpec("tmp", SpaceKind.GEOMETRIC, ScannedInterval(F(0), F(1)))
+
+
 def test_compat_verdict_is_kept_only_without_an_rng():
     from girycheck.algebra import build_algebra
     from girycheck.metric_ot import compat_check_2pt, l1_metric
 
-    space = interval_space("tmp", 0, 1)
+    space = _scanned_interval()
     metric = l1_metric(space)
     build_algebra(space, metric, 40, random.Random(5))
     assert "rngless_compat" not in vars(space)
@@ -515,7 +526,7 @@ def test_compat_verdict_is_kept_only_without_an_rng():
 def test_compat_verdicts_die_with_their_metric():
     from girycheck.algebra import build_algebra
 
-    space = interval_space("tmp", 0, 1)
+    space = _scanned_interval()
     for _ in range(3):
         build_algebra(space, default_metric(space), 40)
     gc.collect()
