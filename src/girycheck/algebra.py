@@ -161,21 +161,7 @@ def build_algebra(space: ConvexSpaceSpec, metric: ExtMetric = None, budget: int 
 
     def compat():
         resolved = metric if metric is not None else default_metric(space)
-        decided = decided_compat(space, resolved)
-        if decided is not None:
-            return decided
-        if rng is not None:
-            return compat_check_2pt(space, resolved, budget, rng)
-        # keyed by the metric as given, default_metric standing for None
-        try:
-            known = space.rngless_compat.setdefault(
-                metric if metric is not None else default_metric, {}
-            )
-        except TypeError:  # a metric that cannot be hashed or weakly referenced
-            return compat_check_2pt(space, resolved, budget)
-        if budget not in known:
-            known[budget] = compat_check_2pt(space, resolved, budget)
-        return known[budget]
+        return decided_compat(space, resolved) or compat_check_2pt(space, resolved, budget, rng)
 
     if isinstance(carrier, FiniteDiscrete):
         poset = discrete_poset(space)

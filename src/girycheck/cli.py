@@ -5,8 +5,8 @@ fields-demo, report-all.  Exit codes: 0 all requested checks passed, 1 some
 check failed, 2 usage or parse errors.  JSON reports are versioned and
 deterministic for a fixed seed; timing is printed only in text mode so the
 JSON stays byte-stable.  report-all, and check-compat/check-laws over all
-spaces, spread whole spaces over the usable CPUs; each space draws from its
-own rng stream, so the report does not depend on the number of CPUs.
+spaces, run the spaces one after another in sorted id order; each space
+draws from its own rng streams.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import random
 import sys
 import time
@@ -383,113 +382,21 @@ def _shared_sections(reg, seed) -> dict:
 
 
 def _report_all(reg, seed, budget) -> dict:
-    def space_sections(sid):
-        # one call per space, so the space's rng-less compat memo stays in
-        # the process that runs both its sections
+    laws, equiv = {}, {}
+    for sid in sorted(reg.ids()):
         space, metric = reg.space(sid), reg.metric(sid)
-        laws = _laws_section(space, metric, seed, budget)
-        return [laws, equiv_check(space, metric, budget, _rng(seed, f"equiv/{sid}")).to_json()]
-
-    shared = {}
-    per_space = _per_space(
-        sorted(reg.ids()),
-        space_sections,
-        meanwhile=lambda: shared.update(_shared_sections(reg, seed)),
-    )
-    report = {
-        "budget": budget,
-        "laws": {sid: laws for sid, (laws, _) in per_space.items()},
-        "equiv": {sid: equiv for sid, (_, equiv) in per_space.items()},
-        **shared,
-    }
+        laws[sid] = _laws_section(space, metric, seed, budget)
+        equiv[sid] = equiv_check(space, metric, budget, _rng(seed, f"equiv/{sid}")).to_json()
+    report = {"budget": budget, "laws": laws, "equiv": equiv, **_shared_sections(reg, seed)}
     transport = report["transport"]
     report["ok"] = (
-        all(sec["ok"] for sec in report["laws"].values())
+        all(sec["ok"] for sec in laws.values())
         and report["counterexample"]["ok"]
         and transport["example"]["ok"]
         and transport["oracle_agreement"]["agreed"] == transport["oracle_agreement"]["trials"]
         and report["fields"]["ok"]
     )
     return report
-
-
-# ---------------------------------------------------------------------------
-# per-space sections on every usable CPU
-
-
-def _jobs(count) -> int:
-    """Processes to share `count` per-space sections: one per usable CPU and
-    at most one per section; 1 without fork, or with another live thread,
-    whose locks a forked child would inherit held."""
-    forks = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-    if not forks or len(sys._current_frames()) > 1:
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), count))
-
-
-def _completed(work, share) -> list:
-    """work(sid) for each id of `share` in turn, up to the first that raises."""
-    done = []
-    try:
-        for sid in share:
-            done.append(work(sid))
-    except Exception:
-        pass  # _per_space reruns that id where a serial run would raise
-    return done
-
-
-def _reap(pid, read_fd) -> bytes:
-    """Everything the child wrote, or b"" if it did not exit cleanly."""
-    try:
-        chunks = []
-        while chunk := os.read(read_fd, 1 << 16):
-            chunks.append(chunk)
-    finally:
-        os.close(read_fd)
-        _, status = os.waitpid(pid, 0)
-    return b"".join(chunks) if status == 0 else b""
-
-
-def _per_space(ids, work, meanwhile=None) -> dict:
-    """{sid: work(sid)} for every id, in the order of `ids`.
-
-    The ids are dealt round-robin, ids[k::jobs], to this process (k = 0)
-    and to jobs - 1 forked children.  A child sends its results back as
-    JSON through a pipe, so `work` must return JSON-native values (lists,
-    str keys).  This process runs its own share, then `meanwhile()` if
-    given, then reads the children's.  Ids a child did not return are run
-    here, in order, so a failing id raises as it would in a serial run.
-    """
-    ids = list(ids)
-    jobs = _jobs(len(ids))
-    children = []
-    try:
-        for k in range(1, jobs):
-            read_fd, write_fd = os.pipe()
-            pid = os.fork()
-            if pid == 0:  # the child leaves through os._exit, never returns
-                status = 1
-                try:
-                    os.close(read_fd)
-                    data = json.dumps(_completed(work, ids[k::jobs])).encode()
-                    with os.fdopen(write_fd, "wb") as out:
-                        out.write(data)
-                    status = 0
-                finally:
-                    os._exit(status)
-            os.close(write_fd)
-            children.append((pid, read_fd, ids[k::jobs]))
-        results = dict(zip(ids[0::jobs], _completed(work, ids[0::jobs])))
-        if meanwhile is not None:
-            meanwhile()
-        while children:
-            pid, read_fd, share = children.pop(0)
-            data = _reap(pid, read_fd)
-            results.update(zip(share, json.loads(data) if data else []))
-    finally:
-        for pid, read_fd, _ in children:
-            _reap(pid, read_fd)
-    return {sid: results[sid] if sid in results else work(sid) for sid in ids}
 
 
 # ---------------------------------------------------------------------------
@@ -620,20 +527,20 @@ def run(args) -> tuple:
 def _command_body(args, reg) -> tuple:
     seed, budget = args.seed, args.budget
     if args.command == "check-compat":
-        sections = _per_space(
-            _selected_ids(reg, args.space),
-            lambda sid: _compat_section(reg.space(sid), reg.metric(sid), seed, budget),
-        )
+        sections = {
+            sid: _compat_section(reg.space(sid), reg.metric(sid), seed, budget)
+            for sid in _selected_ids(reg, args.space)
+        }
         # failing compat is the expected outcome for expect=reject spaces
         ok = all(
             sec["ok"] or reg.space(sid).expect_reject for sid, sec in sections.items()
         ) and all(sec["equiv_ok"] for sec in sections.values())
         return {"spaces": sections}, ok
     if args.command == "check-laws":
-        sections = _per_space(
-            _selected_ids(reg, args.space),
-            lambda sid: _laws_section(reg.space(sid), reg.metric(sid), seed, budget),
-        )
+        sections = {
+            sid: _laws_section(reg.space(sid), reg.metric(sid), seed, budget)
+            for sid in _selected_ids(reg, args.space)
+        }
         return {"spaces": sections}, all(sec["ok"] for sec in sections.values())
     if args.command == "wasserstein":
         space = reg.space(args.space)

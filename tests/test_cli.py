@@ -1,5 +1,4 @@
 import hashlib
-import io
 import json
 import os
 import subprocess
@@ -378,39 +377,46 @@ def test_different_seeds_still_pass():
 
 
 # ---------------------------------------------------------------------------
-# per-space sections spread over the usable CPUs
+# per-space sections, in sorted id order in this process
 
 
-@pytest.fixture
-def cpus(monkeypatch):
-    """Set the usable CPU count with cpus(n); cpus.forks counts os.fork calls."""
-    forks = []
-    real_fork = os.fork
+def test_report_all_runs_every_laws_section_here_in_order(monkeypatch):
+    real_section = cli._laws_section
+    calls = []
 
-    def fork():
-        forks.append(os.getpid())
-        return real_fork()
+    def section(space, metric, seed, budget):
+        calls.append(space.id)
+        return real_section(space, metric, seed, budget)
 
-    def use(n):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-        forks.clear()
-
-    monkeypatch.setattr(os, "fork", fork)
-    use.forks = forks
-    return use
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def report_all(tmp_path, name):
-    argv = ["report-all", "--seed", "7", "--budget", "40", "--format", "json"]
+    monkeypatch.setattr(cli, "_laws_section", section)
+    argv = ["report-all", "--budget", "20", "--format", "json"]
     doc, ok = cli.run(cli._build_parser().parse_args(argv))
-    out = tmp_path / name
-    cli._emit(doc, "json", str(out), 0.0)
-    return doc, ok, out.read_bytes()
+    ids = sorted(cli.builtin_registry().ids())
+    # a forked child's calls would never reach this list
+    assert calls == ids
+    assert list(doc["laws"]) == list(doc["equiv"]) == ids
+    assert ok is True
+
+
+def test_a_failing_section_stops_the_run_at_the_first_failing_id(monkeypatch, capsys):
+    ids = sorted(cli.builtin_registry().ids())
+    failing = {ids[1], ids[4]}
+    real_section = cli._laws_section
+    calls = []
+
+    def section(space, metric, seed, budget):
+        calls.append(space.id)
+        if space.id in failing:
+            raise ValueError(f"cannot check {space.id}")
+        return real_section(space, metric, seed, budget)
+
+    monkeypatch.setattr(cli, "_laws_section", section)
+    argv = ["check-laws", "--space", "all", "--budget", "10", "--format", "json"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"girycheck: cannot check {ids[1]}\n"
+    assert captured.out == ""
+    assert calls == ids[:2]
 
 
 # sha256 of `report-all --seed S --format json` at the default budget: any
@@ -429,78 +435,3 @@ def test_report_all_default_budget_bytes_are_pinned(tmp_path, seed):
     cli._emit(doc, "json", str(out), 0.0)
     assert ok is True
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DEFAULT_BUDGET_DIGESTS[seed]
-    assert_no_child_left()
-
-
-def test_report_all_is_the_same_on_one_and_four_cpus(tmp_path, cpus):
-    cpus(1)
-    serial_doc, serial_ok, serial_bytes = report_all(tmp_path, "one.json")
-    assert cpus.forks == []
-    cpus(4)
-    doc, ok, data = report_all(tmp_path, "four.json")
-    assert cpus.forks == [os.getpid()] * 3
-    # == on the dicts: a tuple that came back from a child as a list would differ
-    assert doc == serial_doc and ok is serial_ok is True
-    assert data == serial_bytes
-    # text output follows the key order of every dict, the children's included
-    texts = [io.StringIO(), io.StringIO()]
-    cli._render_text(serial_doc, texts[0])
-    cli._render_text(doc, texts[1])
-    assert texts[0].getvalue() == texts[1].getvalue()
-    assert_no_child_left()
-
-
-@pytest.mark.parametrize("command", ["check-laws", "check-compat"])
-def test_all_spaces_run_serially_on_one_cpu(cpus, capsys, command):
-    argv = [command, "--space", "all", "--budget", "20", "--format", "json"]
-    cpus(1)
-    serial_code = main(argv)
-    serial_out = capsys.readouterr().out
-    assert cpus.forks == []
-    cpus(2)
-    assert main(argv) == serial_code
-    assert capsys.readouterr().out == serial_out
-    assert len(cpus.forks) == 1
-    assert_no_child_left()
-
-
-def test_a_section_failing_in_a_child_fails_as_in_a_serial_run(monkeypatch, cpus, capsys):
-    ids = sorted(cli.builtin_registry().ids())
-    # with four jobs ids[1] belongs to a child and ids[4] to this process;
-    # a serial run stops at ids[1] first
-    failing = {ids[1], ids[4]}
-    real_section = cli._laws_section
-
-    def section(space, metric, seed, budget):
-        if space.id in failing:
-            raise ValueError(f"cannot check {space.id}")
-        return real_section(space, metric, seed, budget)
-
-    monkeypatch.setattr(cli, "_laws_section", section)
-    argv = ["check-laws", "--space", "all", "--budget", "10", "--format", "json"]
-    results = []
-    for n in (1, 4):
-        cpus(n)
-        results.append((main(argv), capsys.readouterr()))
-    (serial_code, serial), (code, parallel) = results
-    assert serial_code == code == 2
-    assert serial.err == parallel.err == f"girycheck: cannot check {ids[1]}\n"
-    assert serial.out == parallel.out == ""
-    assert len(cpus.forks) == 3
-    assert_no_child_left()
-
-
-def test_a_child_that_dies_has_its_share_run_here(cpus):
-    parent = os.getpid()
-
-    def work(sid):
-        if os.getpid() != parent:
-            os._exit(3)
-        return {"id": sid, "square": [sid * sid]}
-
-    cpus(3)
-    assert cli._per_space(range(7), work) == {
-        sid: {"id": sid, "square": [sid * sid]} for sid in range(7)
-    }
-    assert len(cpus.forks) == 2
-    assert_no_child_left()

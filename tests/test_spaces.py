@@ -5,7 +5,6 @@ import weakref
 from dataclasses import dataclass
 from fractions import Fraction as F
 from typing import Optional
-from unittest.mock import ANY
 
 import pytest
 from hypothesis import given, settings
@@ -487,18 +486,6 @@ def test_compiled_tables_die_with_their_spec():
     assert ref() is None
 
 
-def test_rngless_compat_verdicts_die_with_their_spec():
-    from girycheck.algebra import build_algebra
-
-    space = labels_space("tmp", ("a", "b", "c"), "collapse", "b")
-    build_algebra(space)
-    assert dict(vars(space)["rngless_compat"]) == {default_metric: {500: ANY}}
-    ref = weakref.ref(space)
-    del space
-    gc.collect()
-    assert ref() is None
-
-
 class ScannedInterval(Interval):
     """[lo, hi] as Interval combines it, but of another type, so that the
     norm lemma does not decide its compat and build_algebra scans it."""
@@ -508,29 +495,16 @@ def _scanned_interval():
     return ConvexSpaceSpec("tmp", SpaceKind.GEOMETRIC, ScannedInterval(F(0), F(1)))
 
 
-def test_compat_verdict_is_kept_only_without_an_rng():
+def test_compat_without_an_rng_is_the_unseeded_scan():
     from girycheck.algebra import build_algebra
     from girycheck.metric_ot import compat_check_2pt, l1_metric
 
     space = _scanned_interval()
     metric = l1_metric(space)
-    build_algebra(space, metric, 40, random.Random(5))
-    assert "rngless_compat" not in vars(space)
-    first = build_algebra(space, metric, 40).compat
-    assert build_algebra(space, metric, 40).compat is first
-    assert first == compat_check_2pt(space, metric, 40)
-    build_algebra(space, None, 30)
-    assert dict(space.rngless_compat) == {metric: {40: first}, default_metric: {30: ANY}}
-
-
-def test_compat_verdicts_die_with_their_metric():
-    from girycheck.algebra import build_algebra
-
-    space = _scanned_interval()
-    for _ in range(3):
-        build_algebra(space, default_metric(space), 40)
-    gc.collect()
-    assert len(space.rngless_compat) == 0
+    assert build_algebra(space, metric, 40).compat == compat_check_2pt(space, metric, 40)
+    assert build_algebra(space, None, 30).compat == compat_check_2pt(
+        space, default_metric(space), 30
+    )
 
 
 def test_unhashable_metric_is_scanned_and_not_kept():
@@ -549,7 +523,6 @@ def test_unhashable_metric_is_scanned_and_not_kept():
     space = interval_space("tmp", 0, 1)
     metric = Metric(space)
     assert build_algebra(space, metric, 40).compat == compat_check_2pt(space, metric, 40)
-    assert len(space.rngless_compat) == 0
 
 
 def test_ideals_of_C_are_the_three_expected():

@@ -1,6 +1,7 @@
 """Import rules read from the source: the runtime imports nothing outside
-the standard library, and the tests' one model of the package, in
-`reference.py`, imports only data types from it."""
+the standard library, every imported name and every module-level
+definition of the package is read, and the tests' one model of the
+package, in `reference.py`, imports only data types from it."""
 
 import ast
 import sys
@@ -61,6 +62,44 @@ def test_every_imported_name_is_read():
         unused += [f"{path.parent.name}/{path.name}:{line} {name}"
                    for name, line in imported.items() if name not in read]
     assert not unused
+
+
+# module-level names that nothing in src/ reads, kept on purpose
+UNREAD_ON_PURPOSE = {
+    "sampling.random_meta": "a perfbench tracer boundary (perfbench/tracer.py)",
+}
+
+
+def test_every_module_level_definition_is_read():
+    """Each module-level def and class of the package is read by another
+    top-level statement somewhere in src/, or is exported from
+    girycheck/__init__.py; a helper whose last caller is gone fails here."""
+    package = sorted((ROOT / "src" / "girycheck").glob("*.py"))
+    init = ROOT / "src" / "girycheck" / "__init__.py"
+    defined, reads_by_stmt = [], []
+    for path in package:
+        for stmt in ast.parse(path.read_text(), str(path)).body:
+            if path != init and isinstance(
+                stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                defined.append((f"{path.stem}.{stmt.name}", stmt))
+            names = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif path == init and isinstance(node, ast.alias):
+                    names.add(node.name)
+            reads_by_stmt.append((stmt, names))
+    orphans = [
+        qualified
+        for qualified, stmt in defined
+        if qualified not in UNREAD_ON_PURPOSE
+        and not any(other is not stmt and stmt.name in names for other, names in reads_by_stmt)
+    ]
+    assert not orphans
+    assert {qualified for qualified, _ in defined} >= set(UNREAD_ON_PURPOSE)
 
 
 def test_package_declares_no_runtime_dependencies():
