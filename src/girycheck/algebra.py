@@ -11,22 +11,22 @@ and the rejection is as much a result as a constructed operator.
 
 full_report checks a built operator's laws on seeded samples, except where
 a lemma decides them:
-- on a label carrier of at most DECIDED_LABELS labels, the multiplication
-  law and the support condition, over every support: such a carrier's
-  combine reads only which atoms are present, so h depends only on the
-  support (see _decide_on_supports);
+- on a label carrier (exactly FiniteDiscrete, of any size), whose combine
+  ignores the weights and folds the atoms through one binary table, the
+  multiplication law where that table is a semilattice (n³ lookups) and
+  the support condition where each x·y is x or y (n² lookups)
+  (_decided_mult_law, _decided_support_condition);
 - on a barycentric carrier (spaces.BARYCENTRIC, by exact type), where h is
   the weighted mean, the multiplication law by linearity of expectation and
   the coseparator law because every test map is affine; on a product, the
-  multiplication law where every component's law is decided
-  (_decided_mult_law); compat under the library's own norms
-  (metric_ot.decided_compat);
+  multiplication law where every component's law is decided; compat under
+  the library's own norms (metric_ot.decided_compat);
 - on a one-point carrier, the coseparator law, on its one measure.
+Subclasses of these carriers, and the other carriers, stay sampled.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import random
 from dataclasses import dataclass, field, replace
@@ -39,7 +39,6 @@ from .measures import (
     _merged_atoms,
     dirac,
     expectation_functional,
-    mu,
     support,
     to_text,
 )
@@ -458,11 +457,8 @@ def full_report(space: ConvexSpaceSpec, metric: ExtMetric = None, budget: int = 
         random.Random(rng.randrange(2**30)) for _ in range(4)
     )
     unit = verify_unit_law(alg, 200, unit_rng)
-    mult, supp = _decide_on_supports(alg)
-    if mult is None:
-        mult = _decided_mult_law(space) or verify_mult_law(alg, budget, mult_rng)
-    if supp is None:
-        supp = support_condition_check(alg, 200, supp_rng)
+    mult = _decided_mult_law(space) or verify_mult_law(alg, budget, mult_rng)
+    supp = _decided_support_condition(space) or support_condition_check(alg, 200, supp_rng)
     maps = coseparator_maps(space)
     if type(space.carrier) in BARYCENTRIC:
         cosep = passed(True, _AFFINE_MAPS_NOTE.format(len(maps)))
@@ -479,6 +475,17 @@ def full_report(space: ConvexSpaceSpec, metric: ExtMetric = None, budget: int = 
 _MEAN_LAW_NOTE = "decided: h is the weighted mean, so h(mu Q) = h(Gh Q) by linearity of expectation"
 _AFFINE_MAPS_NOTE = "decided: h is the weighted mean and each of the {} test maps is affine"
 _PRODUCT_LAW_NOTE = "decided: h is componentwise and every component's law is decided"
+_FOLD_LAW_NOTE = "decided: h is the fold of one semilattice table, so h(mu Q) = h(Gh Q)"
+_FOLD_SUPPORT_NOTE = "decided: each x.y is x or y, so the fold h picks an atom of P"
+
+
+def _is_one_semilattice(tables) -> bool:
+    """Are the tables all one table, idempotent, commutative and associative?"""
+    t = tables[0]
+    ns = range(len(t))
+    return all(o == t for o in tables) and all(t[i][i] == i for i in ns) and all(
+        t[i][j] == t[j][i] and t[t[i][j]][k] == t[i][t[j][k]] for i in ns for j in ns for k in ns
+    )
 
 
 def _decided_mult_law(space) -> Optional[Verdict]:
@@ -487,93 +494,33 @@ def _decided_mult_law(space) -> Optional[Verdict]:
 
     On a barycentric carrier h(P) = Σ w·x, so h(μQ) = Σ_P q_P·h(P) = h(𝒢h Q)
     by linearity of expectation (the convex spaces are the algebras of the
-    finite-distribution monad).  A product's h is its components' h on the
-    projected measures, and projection commutes with μ and 𝒢, so its law
-    holds where every component's law is decided: a barycentric carrier, a
-    product of such, or a label carrier whose fold _decide_on_supports
-    passes."""
+    finite-distribution monad).  A label carrier's combine (exactly type
+    FiniteDiscrete: a subclass may combine otherwise) ignores the weights
+    and folds its atoms through its p = 1/2 table; where every p gives that
+    one table and it is a semilattice, the fold of a union is the fold of
+    the parts' folds, so h(μQ) = h(𝒢h Q).  A product's h is its
+    components' h on the projected measures, and projection commutes with μ
+    and 𝒢, so its law holds where every component's law is decided."""
     carrier = space.carrier
     if type(carrier) in BARYCENTRIC:
         return passed(True, _MEAN_LAW_NOTE)
-    if type(carrier) is Product:
-        for comp in carrier.components:
-            h = user_algebra(comp, _combination_rule(comp))
-            law = _decided_mult_law(comp) or _decide_on_supports(h)[0]
-            if law is None or not law.ok:
-                return None
+    if type(carrier) is FiniteDiscrete and _is_one_semilattice(space.compiled.tables):
+        return passed(True, _FOLD_LAW_NOTE)
+    if type(carrier) is Product and all(map(_decided_mult_law, carrier.components)):
         return passed(True, _PRODUCT_LAW_NOTE)
     return None
 
 
-# the most labels on which full_report decides the multiplication law and
-# the support condition, over all 2**n - 1 supports; N-min's 32 stay sampled
-DECIDED_LABELS = 10
-
-
-def _is_semilattice(t) -> bool:
-    """Is the binary table t idempotent, commutative and associative?"""
-    ns = range(len(t))
-    return all(t[i][i] == i for i in ns) and all(
-        t[i][j] == t[j][i] and t[t[i][j]][k] == t[i][t[j][k]] for i in ns for j in ns for k in ns
-    )
-
-
-def _decide_on_supports(h: AlgebraMap):
-    """(multiplication law, support condition) of h, decided on a label
-    carrier of at most DECIDED_LABELS labels; None for each verdict left to
-    sampling: both elsewhere, the law also where the binary rule is not one
-    semilattice table for every p.
-
-    A label carrier's combine reads only which atoms are present, so h(P)
-    depends only on supp P, and one uniform measure P_S per support S stands
-    for every measure on S.  The support condition holds iff each h(P_S)
-    lies in S.  On a semilattice table the law holds iff each h(P_S) is the
-    table's fold of S.  The first support to break the fold, taken in order
-    of size, gives the meta-measure witness Q = ½·δ(P_{S∖x}) + ½·δ(δₓ), x
-    the last label of S: the fold holds on the smaller supports S∖x and
-    {fold(S∖x), x}, so h(μQ) = h(P_S) differs from h(𝒢h Q) = fold(S)."""
-    space = h.space
-    carrier = space.carrier
-    if not isinstance(carrier, FiniteDiscrete) or len(carrier.labels) > DECIDED_LABELS:
-        return None, None
-    c = space.compiled
-    sid, elems = space.id, c.elems
-    half = Fraction(1, 2)
-
-    def uniform(S):
-        return FinMeasure.from_pairs(sid, [(elems[i], Fraction(1, len(S))) for i in S])
-
-    indices = range(len(elems))
-    supports = [S for k in range(1, len(elems) + 1) for S in itertools.combinations(indices, k)]
-    cases = [(S, h(uniform(S))) for S in supports]
-    count = len(cases)
-
-    def lands(case):
-        S, out = case
-        if c.index[out] in S:
-            return None
-        return {"P": to_text(uniform(S), space), "h": space.point_str(out)}
-
-    supp = check_all(cases, lands, True, f"decided: h lands in every support ({count})")
-    t = c.tables[0]
-    if any(other != t for other in c.tables[1:]) or not _is_semilattice(t):
-        return None, supp
-
-    def folds(case):
-        S, out = case
-        if out == elems[functools.reduce(lambda a, b: t[a][b], S)]:
-            return None
-        Q = MetaMeasure.from_pairs(sid, [(uniform(S[:-1]), half), (dirac(elems[S[-1]]), half)])
-        images = FinMeasure.from_pairs(sid, [(h(P), q) for P, q in Q.atoms])
-        return {
-            "Q": _meta_text(Q, space),
-            "flatten_then_h": space.point_str(h(mu(Q))),
-            "h_inside_then_h": space.point_str(h(images)),
-        }
-
-    note = f"decided: h is the semilattice fold on every support ({count})"
-    mult = check_all(cases, folds, True, note)
-    return mult, supp
+def _decided_support_condition(space) -> Optional[Verdict]:
+    """The support condition on a carrier of exactly type FiniteDiscrete,
+    passed where each x·y of its p = 1/2 table is x or y: combine is that
+    table's fold over the atoms present, so it then picks one of them.
+    None to sample it, as on every other carrier."""
+    if type(space.carrier) is FiniteDiscrete:
+        t = space.compiled.tables[0]
+        if all(k in (i, j) for i, row in enumerate(t) for j, k in enumerate(row)):
+            return passed(True, _FOLD_SUPPORT_NOTE)
+    return None
 
 
 # ---------------------------------------------------------------------------

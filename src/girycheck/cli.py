@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import random
 import sys
 import time
@@ -47,13 +48,11 @@ from .registry import Registry, builtin_registry
 from .sampling import random_measure
 from .spaces import (
     Branched,
-    ConvexSpaceSpec,
     Element,
-    ExtendedLine,
     Gluing,
-    SpaceKind,
     as_ext,
     box_space,
+    extended_line_space,
     interval_space,
     labels_space,
     naturals_space,
@@ -69,6 +68,10 @@ _METRIC_BUILDERS = {
     "order": order_metric,
     "ext-abs": extended_abs_metric,
 }
+
+# the characters that separate atoms, product components, branch points and
+# nesting in a measure text; a label that holds one could not be read back
+_MEASURE_SYNTAX = ",|@()[]"
 
 
 class SpaceFileError(Exception):
@@ -106,11 +109,15 @@ def _build_space(space_id, kind, carrier, args, rule, reg, glues, line):
             (n,) = args
             return simplex_space(space_id, int(n))
         if carrier == "extline":
-            lo, hi = args
-            lo = None if lo == "-" else Fraction(lo)
-            hi = None if hi == "-" else Fraction(hi)
-            return ConvexSpaceSpec(space_id, SpaceKind.MIXED, ExtendedLine(lo, hi))
+            lo, hi = (None if a == "-" else a for a in args)
+            return extended_line_space(space_id, lo, hi)
         if carrier == "labels":
+            for label in args:
+                bad = [ch for ch in label if ch in _MEASURE_SYNTAX]
+                if bad:
+                    raise ValueError(
+                        f"label {label!r} contains {bad[0]!r}, which a measure text cannot carry"
+                    )
             rule = rule or "min"
             center = None
             if rule.startswith("collapse"):
@@ -568,7 +575,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         doc, ok = run(args)
-        _emit(doc, args.format, args.out, started)
+        try:
+            _emit(doc, args.format, args.out, started)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader stopped (`| head`); devnull keeps the flush at exit quiet
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except SpaceFileError as exc:
         print(f"girycheck: space file error: {exc}", file=sys.stderr)
         return 2

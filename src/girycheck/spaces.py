@@ -1129,9 +1129,7 @@ def builtin_spaces() -> dict:
         box_space("box2", [(0, 1), (0, 1)]),
         simplex_space("simplex3", 3),
         extended_line_space("rinf-grid", -4, 4),
-        ConvexSpaceSpec(
-            "rplus-grid", SpaceKind.MIXED, ExtendedLine(Fraction(0), Fraction(4))
-        ),
+        extended_line_space("rplus-grid", 0, 4),
         naturals_space("N-min", 32),
         labels_space("chain-max", ("a", "b", "c", "d", "e"), "max"),
         two,

@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 PASS = "pass"
 SAMPLED_PASS = "sampled-pass"
 FAIL = "fail"
-REJECTED = "rejected"
 
 _OK = (PASS, SAMPLED_PASS)
 
@@ -16,8 +15,9 @@ _OK = (PASS, SAMPLED_PASS)
 class Verdict:
     """Outcome of a single check.
 
-    status is one of pass / sampled-pass / fail / rejected.  "pass" means the
-    property was verified exhaustively (or is exact by construction);
+    status is one of pass / sampled-pass / fail (a rejected space is an
+    algebra.Rejection, not a verdict).  "pass" means the property was
+    verified exhaustively (or is exact by construction);
     "sampled-pass" means a sampling budget was exhausted without finding a
     counterexample.  witness carries the offending data for failures, as
     strings so it can go straight into a JSON report; checked counts the

@@ -1,11 +1,13 @@
 """The laws that full_report decides instead of sampling.
 
-On small label carriers the multiplication law and the support condition
-rest on one lemma: a label carrier's `combine` reads only which atoms are
-present, so h(P) depends only on supp P.  A hypothesis property pins the
-lemma; the decided verdicts are checked against the sampled laws and the
-model's law on the built-in label carriers and on random total ones, and
-two broken carriers drive the failure paths.
+On label carriers (exactly FiniteDiscrete, of any size) the multiplication
+law and the support condition rest on one lemma: a label carrier's
+`combine` ignores the weights and is the fold of its compiled p = 1/2
+table over the atoms present.  A hypothesis property pins the lemma on
+carriers of up to 40 labels; the decided verdicts are checked against the
+sampled laws and the model's law on the built-in label carriers and on
+random total ones, and two subclasses that combine otherwise stay sampled
+and fail.
 
 On the barycentric carriers (exactly Interval, Box, Simplex and
 ExtendedLine) h is the weighted mean, which `tests/test_scalar_kernels.py`
@@ -18,7 +20,6 @@ foreign metrics fall back to sampling.
 
 import functools
 import random
-import string
 from fractions import Fraction
 
 import pytest
@@ -26,11 +27,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from girycheck.algebra import (
-    DECIDED_LABELS,
-    AlgebraReport,
     _combination_rule,
-    _decide_on_supports,
     _decided_mult_law,
+    _decided_support_condition,
     coseparator_maps,
     full_report,
     support_condition_check,
@@ -41,7 +40,7 @@ from girycheck.algebra import (
 )
 from girycheck.cli import parse_space_file
 from girycheck.extvalue import INF, ExtValue
-from girycheck.measures import FinMeasure, MetaMeasure, dirac, mu, to_text
+from girycheck.measures import FinMeasure, to_text
 from girycheck.metric_ot import (
     ExtMetric,
     compat_check_2pt,
@@ -76,6 +75,7 @@ import reference
 
 REG = builtin_spaces()
 LABEL_SPACES = [sid for sid, s in REG.items() if isinstance(s.carrier, FiniteDiscrete)]
+MAX_LABELS = 40
 
 
 def _fold(space, payloads):
@@ -88,46 +88,39 @@ def _fold(space, payloads):
 
 @st.composite
 def label_carriers(draw):
-    n = draw(st.integers(min_value=1, max_value=7))
-    labels = tuple(draw(st.permutations(string.ascii_lowercase[:n])))
+    n = draw(st.integers(min_value=1, max_value=MAX_LABELS))
+    labels = tuple(draw(st.permutations([f"l{k}" for k in range(n)])))
     rule = draw(st.sampled_from(("min", "max", "collapse")))
     center = draw(st.sampled_from(labels)) if rule == "collapse" else None
-    return labels_space(f"lemma-{rule}-{''.join(labels)}-{center}", labels, rule, center)
+    return labels_space(f"lemma-{rule}-{n}", labels, rule, center)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(space=label_carriers(), data=st.data())
-def test_label_combine_reads_only_which_atoms_are_present(space, data):
+def test_label_combine_is_the_fold_of_its_binary_table(space, data):
     carrier = space.carrier
-    ps = data.draw(st.lists(st.sampled_from(carrier.labels), min_size=1, max_size=12))
-    positive = st.lists(st.integers(min_value=1, max_value=24), min_size=len(ps), max_size=len(ps))
-    results = []
-    for ns in (data.draw(positive), data.draw(positive)):
-        ws = [Fraction(k, sum(ns)) for k in ns]
-        results.append(carrier.combine(ws, ps))
-    assert results[0] == results[1]
-    assert results[0] == _fold(space, ps)
+    ps = data.draw(st.lists(st.sampled_from(carrier.labels), min_size=1, max_size=16))
+    ns = data.draw(st.lists(st.integers(1, 24), min_size=len(ps), max_size=len(ps)))
+    ws = [Fraction(k, sum(ns)) for k in ns]
+    assert carrier.combine(ws, ps) == _fold(space, ps)
 
 
 # ---------------------------------------------------------------------------
 # agreement with the sampled laws and the model
 
 
-def _assert_agrees(space, seed, law_budget=300):
-    """The decided verdicts are exhaustive, and agree with the sampled
-    support condition (budget 2000) and with the sampled and the model's
-    law."""
+def _assert_agrees(space, seed, law_budget=300, supp_budget=2000):
+    """The law is decided and passes the sampled and the model's law; the
+    support condition is decided exactly where the sampled one passes."""
     h = user_algebra(space, _combination_rule(space))
-    mult, supp = _decide_on_supports(h)
-    if len(space.carrier.labels) > DECIDED_LABELS:
-        assert mult is None and supp is None
-        return
-    assert supp.status in (PASS, FAIL)
-    assert supp.ok == support_condition_check(h, 2000, random.Random(seed)).ok, space.id
-    assert mult.status in (PASS, FAIL)
-    sampled = verify_mult_law(h, law_budget, random.Random(seed))
-    model = reference.mult_law(h, law_budget, random.Random(seed))
-    assert mult.ok == sampled.ok == (model["status"] != FAIL), space.id
+    # min, max and collapse each fold one semilattice table
+    assert _decided_mult_law(space).status == PASS, space.id
+    assert verify_mult_law(h, law_budget, random.Random(seed)).ok, space.id
+    assert reference.mult_law(h, law_budget, random.Random(seed))["status"] != FAIL, space.id
+    supp = _decided_support_condition(space)
+    sampled = support_condition_check(h, supp_budget, random.Random(seed))
+    assert (supp is not None) == sampled.ok, space.id
+    assert supp is None or supp.status == PASS
 
 
 @pytest.mark.parametrize("sid", LABEL_SPACES + ["six-max", "six-min"])
@@ -136,8 +129,8 @@ def test_decided_verdicts_agree_with_the_sampled_laws(sid):
 
 
 def _random_total_label_space(rng, k):
-    n = rng.randint(1, DECIDED_LABELS)
-    labels = tuple(rng.sample(string.ascii_lowercase, n))
+    n = rng.randint(1, MAX_LABELS)
+    labels = tuple(f"t{j}" for j in rng.sample(range(100), n))
     if n <= 2 and rng.random() < 0.3:
         return labels_space(f"total-{k}", labels, "collapse", rng.choice(labels))
     return labels_space(f"total-{k}", labels, rng.choice(("min", "max")))
@@ -147,12 +140,17 @@ def test_decided_verdicts_agree_on_random_total_label_spaces():
     rng = random.Random("decided/total")
     for k in range(50):
         space = _random_total_label_space(rng, k)
-        h = user_algebra(space, _combination_rule(space))
-        # a totally ordered label space is an algebra: both laws hold
-        mult, supp = _decide_on_supports(h)
-        assert supp.status == PASS, (space.id, supp.witness)
-        assert mult is not None and mult.status == PASS, (space.id, mult and mult.witness)
-        _assert_agrees(space, k, law_budget=100)
+        # a totally ordered label space is an algebra: both laws are decided
+        assert _decided_support_condition(space).status == PASS, space.id
+        _assert_agrees(space, k, law_budget=100, supp_budget=200)
+
+
+@pytest.mark.parametrize("rule", ["min", "max"])
+def test_a_forty_label_chain_reads_pass(rule):
+    space = labels_space(f"chain40-{rule}", tuple(f"c{k}" for k in range(MAX_LABELS)), rule)
+    rep = full_report(space, budget=30, rng=random.Random(1))
+    assert rep.mult_law.status == rep.support_condition.status == PASS
+    assert rep.ok
 
 
 # ---------------------------------------------------------------------------
@@ -182,18 +180,16 @@ def test_full_report_draws_every_law_stream_in_its_place(sid):
         assert rep.coseparator_law.status == PASS and sampled_cosep.ok
     else:
         assert rep.coseparator_law == sampled_cosep
-    if sid == "N-min":
-        assert rep.mult_law == verify_mult_law(h, 30, random.Random(mult))
-        assert rep.support_condition == support_condition_check(h, 200, random.Random(supp))
-    elif sid == "unit_interval":
-        assert rep.mult_law.status == PASS and verify_mult_law(h, 30, random.Random(mult)).ok
-        assert rep.support_condition is support_condition_check(h, 200, random.Random(supp)) is None
+    assert rep.mult_law.status == PASS and verify_mult_law(h, 30, random.Random(mult)).ok
+    sampled_supp = support_condition_check(h, 200, random.Random(supp))
+    if sid == "unit_interval":
+        assert rep.support_condition is sampled_supp is None
     else:
-        assert rep.mult_law.status == rep.support_condition.status == PASS
+        assert rep.support_condition.status == PASS and sampled_supp.ok
 
 
 # ---------------------------------------------------------------------------
-# broken carriers
+# subclasses that combine otherwise stay sampled
 
 
 class SecondSmallest(FiniteDiscrete):
@@ -212,40 +208,31 @@ class FirstLabel(FiniteDiscrete):
         return self.labels[0]
 
 
-def test_a_broken_fold_fails_the_decided_law_with_a_meta_measure_witness():
+def test_a_broken_fold_is_sampled_and_fails_the_law():
     space = ConvexSpaceSpec("ss4", SpaceKind.DISCRETE, SecondSmallest(tuple("abcd"), "min"))
-    rep = full_report(space, rng=random.Random(1))
-    assert isinstance(rep, AlgebraReport)
-    assert rep.support_condition.status == PASS
-    v = rep.mult_law
-    assert v.status == FAIL
-    # the first support off the fold is {a, b, c}: Q = ½·δ(P_ab) + ½·δ(δ_c)
-    a, b, c = (space.element(lab) for lab in "abc")
-    h = user_algebra(space, _combination_rule(space))
-    P_ab = FinMeasure.from_pairs(space.id, [(a, Fraction(1, 2)), (b, Fraction(1, 2))])
-    Q = MetaMeasure.from_pairs(space.id, [(P_ab, Fraction(1, 2)), (dirac(c), Fraction(1, 2))])
-    assert h(mu(Q)) == b
-    assert h(FinMeasure.from_pairs(space.id, [(h(P_ab), Fraction(1, 2)), (c, Fraction(1, 2))])) == a
-    assert v.to_json()["witness"] == {
-        "Q": f"1/2: {to_text(P_ab, space)}; 1/2: {to_text(dirac(c), space)}",
-        "flatten_then_h": "b",
-        "h_inside_then_h": "a",
-    }
-    assert not verify_mult_law(h, 2000, random.Random(4)).ok
-    assert reference.mult_law(h, 2000, random.Random(4))["status"] == FAIL
+    # the binary table is min's: only the exact type is decided
+    assert _decided_mult_law(space) is None
+    assert _decided_support_condition(space) is None
+    for seed in range(1, 6):
+        rep = full_report(space, rng=random.Random(seed))
+        assert rep.support_condition.status == SAMPLED_PASS
+        v = rep.mult_law
+        assert v.status == FAIL, seed
+        assert set(v.witness) == {"Q", "flatten_then_h", "h_inside_then_h"}
+        assert v.witness["flatten_then_h"] != v.witness["h_inside_then_h"]
 
 
-def test_a_rule_off_the_support_fails_the_decided_support_condition():
+def test_a_rule_off_the_support_is_sampled_and_fails_the_support_condition():
     space = ConvexSpaceSpec("first4", SpaceKind.DISCRETE, FirstLabel(tuple("abcd"), "min"))
+    assert _decided_mult_law(space) is None
+    assert _decided_support_condition(space) is None
     h = user_algebra(space, _combination_rule(space))
-    mult, supp = _decide_on_supports(h)
-    # c + c is a: no semilattice table, so the law is left to sampling
-    assert mult is None
+    supp = support_condition_check(h, 300, random.Random(4))
     assert supp.status == FAIL
+    # the first grid pair off the support: b + c is a
     b, c = space.element("b"), space.element("c")
     P_bc = FinMeasure.from_pairs(space.id, [(b, Fraction(1, 2)), (c, Fraction(1, 2))])
     assert supp.witness == {"P": to_text(P_bc, space), "h": "a"}
-    assert not support_condition_check(h, 2000, random.Random(4)).ok
 
 
 # ---------------------------------------------------------------------------
@@ -291,12 +278,12 @@ def _declared_spaces(tmp_path, count=24):
 
 def _assert_sampled_oracles_pass(space, metric, seed):
     """Each verdict full_report decides on this space passes the unchanged
-    sampled oracle, at budgets 300 (mult law, compat) and 200 (coseparator
-    law); returns the names of the decided verdicts."""
+    sampled oracle, at budgets 300 (mult law, support condition, compat)
+    and 200 (coseparator law); returns the names of the decided verdicts."""
     rep = full_report(space, metric, rng=random.Random(seed))
     h = user_algebra(space, _combination_rule(space))
     decided = [
-        name for name in ("mult_law", "compat", "coseparator_law")
+        name for name in ("mult_law", "support_condition", "compat", "coseparator_law")
         if getattr(rep, name) is not None and getattr(rep, name).note.startswith("decided:")
     ]
     for name in decided:
@@ -304,6 +291,8 @@ def _assert_sampled_oracles_pass(space, metric, seed):
     rng = random.Random(seed)
     if "mult_law" in decided:
         assert verify_mult_law(h, 300, rng).ok, space.id
+    if "support_condition" in decided:
+        assert support_condition_check(h, 300, rng).ok, space.id
     if "compat" in decided:
         assert compat_check_2pt(space, metric, 300, rng).ok, space.id
         assert compat_check_4pt(space, metric, 300, rng).ok, space.id
@@ -321,10 +310,12 @@ def test_the_sampled_oracles_pass_where_a_builtin_verdict_is_decided():
         decided[sid] = _assert_sampled_oracles_pass(space, default_metric(space), k)
     for sid in BARYCENTRIC_IDS:
         assert decided[sid] == ["mult_law", "compat", "coseparator_law"], sid
+    for sid in ("N-min", "chain-max", "two", "D4-min"):
+        assert decided[sid] == ["mult_law", "support_condition"], sid
     assert decided["GxD"] == ["mult_law"]
-    assert decided["point"] == ["mult_law", "coseparator_law"]
-    # vee's arms are glued, and N-min's 32 labels exceed DECIDED_LABELS
-    assert decided["vee"] == decided["N-min"] == []
+    assert decided["point"] == ["mult_law", "support_condition", "coseparator_law"]
+    # vee's arms are glued
+    assert decided["vee"] == []
 
 
 def test_the_sampled_oracles_pass_on_declared_barycentric_spaces(tmp_path):
