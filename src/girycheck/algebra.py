@@ -33,6 +33,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
+from .extvalue import ExtValue
 from .measures import (
     FinMeasure,
     MetaMeasure,
@@ -342,10 +343,9 @@ def support_condition_check(h: AlgebraMap, budget: int = 300, rng=None) -> Optio
 
         def strays(P, out):
             labels = {e.payload[0] for e, _ in P.atoms}
-            # the glue point is canonical on its own branch; accept either side
+            # a glued point is written on one arm; accept every arm it lies on
             ok = out.payload[0] in labels or any(
-                g.ident is not None and out.payload == (g.src, g.ident) and g.dst in labels
-                for g in carrier.gluings
+                label in labels and rep == out.payload for (label, _), rep in carrier.glued.items()
             )
             return None if ok else {}
 
@@ -395,7 +395,7 @@ def _height_maps(space):
         def fn(e, g=g):
             lab, a = e.payload
             if lab == g.dst:
-                return ext_element(a - g.target)
+                return ext_element(ExtValue(a) + -g.target)
             return ext_element(0)
 
         out.append(AffineMap(space, RINF, fn, name=f"height[{g.dst}]"))

@@ -36,7 +36,6 @@ from .metric_ot import (
     compat_check_4pt,
     decided_compat,
     discrete_metric,
-    equiv_check,
     equiv_verdict,
     extended_abs_metric,
     l1_metric,
@@ -154,6 +153,8 @@ def _parse_space_line(tokens, reg, glues, line):
     if not positional:
         raise SpaceFileError(line, "space line needs an id")
     space_id = positional[0]
+    if ":" in space_id:
+        raise SpaceFileError(line, f"space id {space_id!r} holds ':', which ends a measure header")
     kind = options.get("kind")
     if kind not in ("geometric", "discrete", "mixed"):
         raise SpaceFileError(line, f"kind must be geometric/discrete/mixed, got {kind!r}")
@@ -393,7 +394,7 @@ def _report_all(reg, seed, budget) -> dict:
     for sid in sorted(reg.ids()):
         space, metric = reg.space(sid), reg.metric(sid)
         laws[sid] = _laws_section(space, metric, seed, budget)
-        equiv[sid] = equiv_check(space, metric, budget, _rng(seed, f"equiv/{sid}")).to_json()
+        equiv[sid] = _compat_section(space, metric, seed, budget)["equiv"]
     report = {"budget": budget, "laws": laws, "equiv": equiv, **_shared_sections(reg, seed)}
     transport = report["transport"]
     report["ok"] = (

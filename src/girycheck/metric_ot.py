@@ -30,7 +30,7 @@ from itertools import combinations
 from math import lcm
 from typing import Optional
 
-from .extvalue import INF, ExtValue, ext_abs_diff, ext_sum
+from .extvalue import INF, ZERO, ExtValue, ext_abs_diff, ext_sum
 from .measures import FinMeasure, pushforward, to_text
 from .sampling import random_measure
 from .spaces import (
@@ -166,8 +166,9 @@ def product_sum_metric(space: ConvexSpaceSpec, parts=None) -> ExtMetric:
 
 
 def glued_path_metric(space: ConvexSpaceSpec) -> ExtMetric:
-    """Distance within a branch is the branch metric; across branches it
-    runs through the identified glue points."""
+    """Distance within an arm is the arm's metric; across arms it is the sum
+    of the arm distances along the one path of the gluing forest
+    (Branched.paths), through each gluing's identified points."""
     carrier = space.carrier
     arm = {lab: default_metric(comp) for lab, comp in carrier.components}
 
@@ -175,22 +176,16 @@ def glued_path_metric(space: ConvexSpaceSpec) -> ExtMetric:
         comp = carrier._component(label)
         return arm[label](Element(comp.id, a), Element(comp.id, b))
 
-    def glue_points(la, lb):
-        for g in carrier.gluings:
-            if g.ident is None:
-                continue
-            if (g.src, g.dst) == (la, lb):
-                return g.ident, g.target
-            if (g.src, g.dst) == (lb, la):
-                return g.target, g.ident
-        raise ValueError(f"no identified glue point between {la!r} and {lb!r}")
-
     def d(x, y):
         (la, a), (lb, b) = x.payload, y.payload
-        if la == lb:
-            return arm_dist(la, a, b)
-        ga, gb = glue_points(la, lb)
-        return arm_dist(la, a, ga) + arm_dist(lb, gb, b)
+        path = carrier.paths.get((la, lb))
+        if path is None or any(None in (step.exit, step.entry) for step in path):
+            raise ValueError(f"no identified glue point between {la!r} and {lb!r}")
+        total = ZERO
+        for step in path:
+            total += arm_dist(la, a, step.exit)
+            la, a = step.arm, step.entry
+        return total + arm_dist(la, a, b)
 
     return ExtMetric(space.id, "glued-path", d)
 

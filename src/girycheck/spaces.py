@@ -7,9 +7,9 @@ is exact over Fraction weights.  Carriers implemented here:
 * extended lines [lo, hi] plus +inf with absorbing combinations;
 * finite label sets with min / max / collapse-to-center rules (discrete);
 * products (componentwise rule);
-* two-or-more branches glued along affine transition maps (the losing
-  branch of a combination is mapped through its gluing into the winning
-  branch, weights unchanged).
+* two or more arms glued into a forest at points (the losing arm of a
+  combination is mapped through its gluings into the winning arm, weights
+  unchanged; a glued point is one point, written on a source arm).
 
 Everything downstream (measures, transport, algebra checks) goes through
 `combine` and the Element type defined here.
@@ -546,12 +546,22 @@ class Gluing:
     """Constant transition: every point of branch `src` acts as `target`
     (a point of branch `dst`) inside combinations won by `dst`.  If `ident`
     is set, the src point `ident` and the dst point `target` are the same
-    point of the glued space, canonically written on the src branch."""
+    point of the glued space, written on a source arm (Branched.glued)."""
 
     src: object
     dst: object
     target: object
     ident: object = None
+
+
+class Crossing(NamedTuple):
+    """A gluing crossed into `arm` from `exit` to `entry`, each on its own arm
+    (None on the src side without ident); `forward` when crossed src -> dst."""
+
+    arm: object
+    exit: object
+    entry: object
+    forward: bool
 
 
 @dataclass(frozen=True)
@@ -561,7 +571,8 @@ class Branched:
     payload = (branch_label, component_payload).  A combination first
     resolves the winning branch by the discrete rule on the labels present,
     then combines in that branch with unchanged weights, each losing point
-    entering through its gluing target.
+    entering through its gluing target.  The gluings form a forest over the
+    arms, walked once by `paths`, which the transitions and metric read.
     """
 
     branch_space: object  # ConvexSpaceSpec with FiniteDiscrete carrier
@@ -578,37 +589,68 @@ class Branched:
                 return comp
         raise ValueError(f"no branch {label!r}")
 
+    def _point(self, label, raw):
+        arm = self._component(label)
+        return None if raw is None else arm.element(raw).payload
+
+    @cached_property
+    def paths(self) -> dict:
+        """(a, b) -> the Crossings on the one path of the gluing forest from
+        arm a to arm b, in order; () for a == b, no key across two trees.
+
+        Refuses, by name, the first gluing that names a label with no arm or
+        a point off its arm, or that closes a cycle: a repeated pair of
+        labels or a loop of gluings glues one pair of arms twice, which no
+        tree of arms does."""
+        paths = {(a, a): () for a, _ in self.components}
+        for g in self.gluings:
+            at = g.src if g.ident is None else f"{g.src}@{g.ident}"
+            name = f"glue {at} -> {g.dst}@{g.target}"
+            try:
+                src, dst = self._point(g.src, g.ident), self._point(g.dst, g.target)
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from exc
+            if (g.src, g.dst) in paths:
+                raise ValueError(f"{name} closes a cycle of gluings")
+            left = [a for a, b in paths if b == g.src]
+            right = [b for a, b in paths if a == g.dst]
+            there, back = Crossing(g.dst, src, dst, True), Crossing(g.src, dst, src, False)
+            for a, b in itertools.product(left, right):
+                paths[a, b] = paths[a, g.src] + (there,) + paths[g.dst, b]
+                paths[b, a] = paths[b, g.dst] + (back,) + paths[g.src, a]
+        return paths
+
+    @cached_property
+    def glued(self) -> dict:
+        """Each glued point (label, point) -> the payload that writes it: of
+        the points identified with it, the first in gluing order (src before
+        dst) that no gluing targets, so that it lies on a source arm."""
+        pairs = [
+            ((g.src, self._point(g.src, g.ident)), (g.dst, self._point(g.dst, g.target)))
+            for g in self.gluings if g.ident is not None
+        ]
+        order = [p for pair in pairs for p in pair]
+        same = {p: {p} for p in order}
+        for src, dst in pairs:
+            merged = same[src] | same[dst]
+            same.update(dict.fromkeys(merged, merged))
+        targets = {dst for _, dst in pairs}
+        return {p: next(q for q in order if q in same[p] and q not in targets) for p in order}
+
     def _transition_target(self, src, dst):
-        # constant gluings compose to the final constant; follow a path
-        if src == dst:
-            return None
-        direct = {(g.src, g.dst): g.target for g in self.gluings}
-        if (src, dst) in direct:
-            return direct[(src, dst)]
-        # breadth-first composition through intermediate branches
-        seen, frontier = {src}, [(src, None)]
-        while frontier:
-            nxt = []
-            for node, tgt in frontier:
-                for (a, b), t in direct.items():
-                    if a == node and b not in seen:
-                        if b == dst:
-                            return t
-                        seen.add(b)
-                        nxt.append((b, t))
-            frontier = nxt
-        raise ValueError(f"no gluing path {src!r} -> {dst!r}")
+        # constant gluings compose to the entry point of the last one on the
+        # path, when every gluing on it is crossed src -> dst
+        path = self.paths.get((src, dst))
+        if path is None or not all(step.forward for step in path):
+            raise ValueError(f"no gluing path {src!r} -> {dst!r}")
+        return path[-1].entry if path else None
 
     def normalize(self, p):
         if not (isinstance(p, tuple) and len(p) == 2):
             raise ValueError(f"expected (branch, point), got {p!r}")
         label, inner = p
-        comp = self._component(label)
-        inner = comp.carrier.normalize(inner)
-        for g in self.gluings:
-            if g.ident is not None and label == g.dst and inner == g.target:
-                return (g.src, self._component(g.src).carrier.normalize(g.ident))
-        return (label, inner)
+        p = (label, self._component(label).carrier.normalize(inner))
+        return self.glued.get(p, p)
 
     def contains(self, p) -> bool:
         if not (isinstance(p, tuple) and len(p) == 2):
@@ -623,10 +665,7 @@ class Branched:
     def combine(self, ws, ps):
         win = self.branch_space.carrier.combine(ws, [b for b, _ in ps])
         comp = self._component(win)
-        moved = tuple(
-            x if b == win else comp.carrier.normalize(self._transition_target(b, win))
-            for b, x in ps
-        )
+        moved = tuple(x if b == win else self._transition_target(b, win) for b, x in ps)
         return self.normalize((win, comp.carrier.combine(ws, moved)))
 
     def sample(self, rng):
@@ -1066,49 +1105,14 @@ def semidirect_space(branch_space, components, gluings, space_id) -> ConvexSpace
         if label in labels[:k]:
             raise ValueError(f"branch {label!r} has two arms")
     carrier = Branched(branch_space, tuple(components), tuple(gluings))
-    _check_gluings(carrier)
-    # every losing->winning transition must be reachable
-    for a in labels:
-        for b in labels:
-            if a != b and _needs_transition(branch_space, a, b):
-                carrier._transition_target(a, b)
+    carrier.paths  # walking the gluings refuses the first one at fault
+    # every losing->winning transition must be reachable; a loses to b when
+    # combining the two labels yields b
+    for a, b in itertools.permutations(labels, 2):
+        ends = branch_space.element(a), branch_space.element(b)
+        if all(combine2(branch_space, p, *ends).payload == b for p in P_GRID):
+            carrier._transition_target(a, b)
     return ConvexSpaceSpec(space_id, SpaceKind.MIXED, carrier)
-
-
-def _check_gluings(carrier) -> None:
-    """Refuse a gluing that names a label with no arm or a point off its
-    arm, and gluings whose undirected branch-label graph is not a forest: a
-    repeated pair of labels or a loop of gluings glues one pair of arms
-    twice, which no tree of arms does.  Names the first gluing at fault."""
-    parent = {}
-
-    def root(label):
-        while label in parent:
-            label = parent[label]
-        return label
-
-    for g in carrier.gluings:
-        src = g.src if g.ident is None else f"{g.src}@{g.ident}"
-        name = f"glue {src} -> {g.dst}@{g.target}"
-        for label, point in ((g.src, g.ident), (g.dst, g.target)):
-            try:
-                arm = carrier._component(label)
-                if point is not None:
-                    arm.element(point)
-            except ValueError as exc:
-                raise ValueError(f"{name}: {exc}") from exc
-        a, b = root(g.src), root(g.dst)
-        if a == b:
-            raise ValueError(f"{name} closes a cycle of gluings")
-        parent[a] = b
-
-
-def _needs_transition(branch_space, a, b) -> bool:
-    # a loses to b when combining the two labels yields b
-    return all(
-        combine2(branch_space, p, branch_space.element(a), branch_space.element(b)).payload == b
-        for p in P_GRID
-    )
 
 
 def projection(prod: ConvexSpaceSpec, index: int) -> AffineMap:

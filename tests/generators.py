@@ -1,6 +1,7 @@
 """Spaces beyond the built-ins that several test files run on, and seeded
 generators that only the tests draw from: depth-three measure towers,
-small random label spaces and random metrics on their labels.
+small random label spaces, random metrics on their labels and random
+forests of glued arms.
 
 Everything takes an explicit random.Random, as `girycheck.sampling` does.
 """
@@ -9,10 +10,13 @@ import random
 import string
 from fractions import Fraction
 
+from girycheck.extvalue import INF, ExtValue
 from girycheck.sampling import random_meta
 from girycheck.spaces import (
+    Branched,
     ConvexSpaceSpec,
     Gluing,
+    SpaceKind,
     extended_line_space,
     interval_space,
     labels_space,
@@ -79,3 +83,41 @@ def random_discrete_metric(rng: random.Random, labels):
                 if via < d[(a, b)]:
                     d[(a, b)] = via
     return d
+
+
+# the arms of random_arm_tree and the points drawn on them; the glue points
+# are few, so that glued points often coincide and chain across arms
+ARM_POINTS = {
+    "J": tuple(Fraction(k, 4) for k in range(5)),
+    "E": tuple(ExtValue(Fraction(k, 2)) for k in range(-4, 5)) + (INF,),
+}
+GLUE_POINTS = (Fraction(0), Fraction(1, 2), Fraction(1))
+_E = extended_line_space("E", -2, 2)
+
+
+def random_arm_tree(rng: random.Random) -> ConvexSpaceSpec:
+    """A branched space of 2 to 6 arms, each the interval J or the extended
+    line E = [-2, 2] + inf, glued at GLUE_POINTS into a forest, with the
+    gluings in random order and direction.  One gluing in eight has no
+    ident, and one arm in eight starts a tree of its own.  It is built
+    without semidirect_space's check that each losing arm has a transition
+    into the winner: the properties read the walk, normalize and the metric,
+    never a combination."""
+    labels = "ABCDEF"[: rng.randint(2, 6)]
+    arms = tuple((label, rng.choice((J, _E))) for label in labels)
+    gluings = []
+    for k in range(1, len(labels)):
+        if rng.randrange(8) == 0:
+            continue
+        ends = [labels[k], labels[rng.randrange(k)]]
+        rng.shuffle(ends)
+        ident = None if rng.randrange(8) == 0 else rng.choice(GLUE_POINTS)
+        gluings.append(Gluing(*ends, rng.choice(GLUE_POINTS), ident=ident))
+    rng.shuffle(gluings)
+    branches = labels_space("arm-labels", tuple(labels), "max")
+    return ConvexSpaceSpec("arm-tree", SpaceKind.MIXED, Branched(branches, arms, tuple(gluings)))
+
+
+def arm_payloads(space: ConvexSpaceSpec) -> list:
+    """Every (label, point) of ARM_POINTS on every arm, not normalized."""
+    return [(label, p) for label, arm in space.carrier.components for p in ARM_POINTS[arm.id]]

@@ -1,9 +1,9 @@
 """One small model of girycheck, written from the definitions, that the
 kernel tests compare against: measures at both levels, each carrier's
 combination rule and sampler, the seeded draws (the same rng calls in the
-same order), the compat scans, is_affine, coseparates, the discrete poset
-and the unit and multiplication laws.  It uses Fraction and dict merges
-only, and gives a verdict as its JSON.
+same order), the compat scans, is_affine, coseparates, the discrete poset,
+the unit and multiplication laws and the path distance on glued arms.  It
+uses Fraction and dict merges only, and gives a verdict as its JSON.
 
 From girycheck it imports only the data types it builds and compares,
 never a kernel it is the oracle for; tests/test_stdlib_only.py holds the
@@ -143,12 +143,56 @@ def _glue_target(carrier, src, dst):
     return _arm_point(carrier, dst, target[dst])
 
 
+def _glue_ends(carrier):
+    """The two ends of each gluing with an ident, as payloads of their arms."""
+    return [
+        ((g.src, _arm_point(carrier, g.src, g.ident)), (g.dst, _arm_point(carrier, g.dst, g.target)))
+        for g in carrier.gluings if g.ident is not None
+    ]
+
+
 def _canonical(carrier, p):
-    """A glued point is written on its source arm."""
-    for g in carrier.gluings:
-        if g.ident is not None and p[0] == g.dst and p[1] == g.target:
-            return (g.src, _arm_point(carrier, g.src, g.ident))
-    return p
+    """A glued point is written on a source arm: of the points identified
+    with it, the first in gluing order (src before dst) that no gluing
+    targets."""
+    ends = _glue_ends(carrier)
+    same = [p]
+    for q in same:
+        same += [r for pair in ends if q in pair for r in pair if r not in same]
+    targets = {dst for _, dst in ends}
+    return next((q for pair in ends for q in pair if q in same and q not in targets), p)
+
+
+def _line_distance(a, b):
+    """|a - b| on an interval or an extended line: inf from a finite point to inf."""
+    a, b = ExtValue(a), ExtValue(b)
+    if a.is_inf or b.is_inf:
+        return ExtValue(0) if a == b else INF
+    return ExtValue(abs(a.value - b.value))
+
+
+def tree_distance(carrier, x, y):
+    """The path distance between payloads x and y of a branched carrier of
+    interval and extended-line arms, found over the glue points alone: the
+    shortest path through x, y and the ends of every gluing with an ident,
+    where two points of one arm are their line distance apart and the two
+    ends of a gluing are 0 apart.  None where no such path joins them."""
+    ends = _glue_ends(carrier)
+    nodes = [x, y] + [q for pair in ends for q in pair]
+
+    def edge(p, q):
+        if p[0] == q[0]:
+            return _line_distance(p[1], q[1])
+        return ExtValue(0) if (p, q) in ends or (q, p) in ends else None
+
+    dist, changed = {x: ExtValue(0)}, True
+    while changed:
+        changed = False
+        for p, q in itertools.product(nodes, nodes):
+            step = edge(p, q) if p in dist else None
+            if step is not None and (q not in dist or dist[p] + step < dist[q]):
+                dist[q], changed = dist[p] + step, True
+    return dist.get(y)
 
 
 def combine_payloads(carrier, ws, ps):

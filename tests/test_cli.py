@@ -87,6 +87,8 @@ def test_parse_errors_carry_line_numbers(tmp_path):
         ("space X kind=discrete carrier=labels", "empty carrier"),
         ("glue A@x -> B@0", "glue endpoint 'A@x'"),
         ("space X kind=geometric carrier=interval 0 1 metric=discrete", "needs a finite carrier"),
+        # a measure header ends at the first ':', so no measure could name it
+        ("space a:b kind=discrete carrier=labels x y rule=max", "space id 'a:b' holds ':'"),
     ] + [
         # a label that a measure text could not carry back
         (f"space X kind=discrete carrier=labels a{ch}b c", f"label 'a{ch}b' contains {ch!r}")
@@ -188,6 +190,46 @@ def test_a_tree_of_gluings_still_parses(tmp_path):
     body += "space wye kind=mixed carrier=semidirect tri A:J B:J C:J\n"
     reg = parse_space_file(write_spaces(tmp_path, ARMS_HEAD + body))
     assert len(reg.space("wye").carrier.gluings) == 2
+
+
+# ROADMAP item 2's wye, whose A and C arms meet only through B, and a
+# two-arm space with an extended-line arm; both once ended with exit 2 or a
+# traceback on every command below
+BRANCHED = {
+    "wye": (
+        ARMS_HEAD + "glue A@0 -> B@1/2\nglue B@0 -> C@1/2\n"
+        "space wye kind=mixed carrier=semidirect tri A:J B:J C:J\n",
+        "A@1/2",
+        "C@1",
+    ),
+    "xl": (
+        "space J kind=geometric carrier=interval 0 1\n"
+        "space E kind=mixed carrier=extline -2 2\n"
+        "space duo kind=discrete carrier=labels S X rule=max\nglue S@0 -> X@0\n"
+        "space xl kind=mixed carrier=semidirect duo S:J X:E\n",
+        "S@1/2",
+        "X@1",
+    ),
+}
+
+
+@pytest.mark.parametrize("space_id", sorted(BRANCHED))
+def test_branched_spaces_run_every_command_to_a_verdict(tmp_path, space_id):
+    text, x, y = BRANCHED[space_id]
+    path = write_spaces(tmp_path, text)
+    p, q = tmp_path / "P.msr", tmp_path / "Q.msr"
+    p.write_text(f"measure on {space_id}: {x}:1/1\n")
+    q.write_text(f"measure on {space_id}: {y}:1/1\n")
+    res = run_cli("wasserstein", "--spaces", path, "--space", space_id, str(p), str(q),
+                  "--format", "json")
+    assert res.returncode == 0, res.stderr
+    doc = json.loads(res.stdout)
+    assert doc["cost"] == doc["brute_cost"] == "3/2"
+    for command in (["check-compat", "--space", space_id], ["check-laws", "--space", space_id],
+                    ["report-all"]):
+        res = run_cli(*command, "--spaces", path, "--budget", "20", "--format", "json")
+        assert res.returncode in (0, 1), res.stderr
+        assert "Traceback" not in res.stderr
 
 
 def test_expect_reject_flag(tmp_path):
@@ -481,6 +523,18 @@ def test_a_failing_section_stops_the_run_at_the_first_failing_id(monkeypatch, ca
     assert captured.err == f"girycheck: cannot check {ids[1]}\n"
     assert captured.out == ""
     assert calls == ids[:2]
+
+
+@pytest.mark.parametrize("seed", (1, 7))
+def test_report_all_and_check_compat_report_the_same_equiv(seed):
+    # report-all once rescanned compat for its equiv section on its own
+    # streams, and its witnesses differed from check-compat's at these budgets
+    parser = cli._build_parser()
+    for budget in ("1", "2", "3", "5"):
+        common = ["--seed", str(seed), "--budget", budget, "--format", "json"]
+        report, _ = cli.run(parser.parse_args(["report-all", *common]))
+        compat, _ = cli.run(parser.parse_args(["check-compat", "--space", "all", *common]))
+        assert report["equiv"] == {sid: sec["equiv"] for sid, sec in compat["spaces"].items()}
 
 
 # sha256 of `report-all --seed S --format json` at the default budget: any

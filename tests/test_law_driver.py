@@ -89,7 +89,10 @@ DIGESTS = {
     "two": "e896f45715968e535ac7df947c53bb43c68c14ab432ab3dab02fb6b23d2889e8",
     "unit_interval": "2bbbc869cb68b8e66999348fa030c3623431886cb455ec87686593460ecddf3d",
     "vee": "7a6123b26fddd6bbeb998b0aa029d9eda4d76e3318c3cf86231f31b7725bc9a1",
-    "wye": "4fee227c71eead49be9f620f8668f9ecee3e79b22bbd89624fec67fa15cb02a7",
+    # re-pinned when the path metric learned paths through a middle arm: the
+    # six lipschitz rows held "no identified glue point between 'A' and 'C'"
+    # and now hold the check's own fail verdicts; every other row is as before
+    "wye": "349463fde13b0b47b70bfa6a0aa8111905d9c6d0512257779a977a7484376ae3",
 }
 
 

@@ -29,7 +29,10 @@ from girycheck.metric_ot import (
 )
 from girycheck.sampling import random_measure
 from girycheck.spaces import Element, builtin_spaces, product_space
-from generators import random_discrete_metric, random_finite_discrete_space
+from generators import (
+    arm_payloads, random_arm_tree, random_discrete_metric, random_finite_discrete_space,
+)
+import reference
 
 REG = builtin_spaces()
 UNIT = REG["unit_interval"]
@@ -97,6 +100,25 @@ def test_glued_path_metric_on_vee():
     assert cross == ExtValue(1)
     glue = m(vee.element(("L", F(0))), vee.element(("H", F(0))))
     assert glue == ZERO
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32))
+def test_glued_path_metric_is_the_tree_distance_on_random_arm_trees(seed):
+    rng = random.Random(seed)
+    space = random_arm_tree(rng)
+    d = glued_path_metric(space)
+    points = [space.element(p) for p in rng.sample(arm_payloads(space), 5)]
+    for x in points:
+        assert d(x, x) == ZERO
+        for y in points:
+            want = reference.tree_distance(space.carrier, x.payload, y.payload)
+            if want is None:
+                for a, b in ((x, y), (y, x)):
+                    with pytest.raises(ValueError, match="^no identified glue point between"):
+                        d(a, b)
+            else:
+                assert d(x, y) == d(y, x) == want
 
 
 def test_metric_axioms_sampled():

@@ -42,6 +42,7 @@ from girycheck.spaces import (
     semidirect_space,
     simplex_space,
 )
+from generators import arm_payloads, random_arm_tree
 import reference
 
 REG = builtin_spaces()
@@ -254,6 +255,44 @@ def test_branched_cross_arm_routes_through_the_glue_point():
 def test_branched_glue_point_is_canonical():
     assert VEE.element(("L", F(0))) == VEE.element(("H", F(0)))
     assert VEE.point_str(VEE.element(("L", F(0)))) == VEE.point_str(VEE.element(("H", F(0))))
+
+
+def test_a_chain_of_glued_points_is_one_point():
+    # A@0 = B@0 = C@0: C@0 was once written B@0, one gluing back, and
+    # compared unequal to A@0
+    branches = labels_space("abc", ("A", "B", "C"), "max")
+    glues = [Gluing("A", "B", F(0), ident=F(0)), Gluing("B", "C", F(0), ident=F(0))]
+    space = semidirect_space(branches, [("A", UNIT), ("B", UNIT), ("C", UNIT)], glues, "chain")
+    assert space.element(("C", F(0))) == space.element(("B", F(0))) == space.element(("A", F(0)))
+    assert space.point_str(space.element(("C", F(0)))) == "A@0"
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32))
+def test_normalize_writes_each_glued_point_once_on_random_arm_trees(seed):
+    space = random_arm_tree(random.Random(seed))
+    carrier = space.carrier
+    for p in arm_payloads(space):
+        q = carrier.normalize(p)
+        assert carrier.normalize(q) == q
+        assert q == reference._canonical(carrier, p)
+    for g in carrier.gluings:
+        if g.ident is not None:
+            assert space.element((g.src, g.ident)) == space.element((g.dst, g.target))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32))
+def test_transition_targets_match_the_model_on_random_arm_trees(seed):
+    carrier = random_arm_tree(random.Random(seed)).carrier
+    for src, dst in itertools.permutations([label for label, _ in carrier.components], 2):
+        try:
+            want = reference._glue_target(carrier, src, dst)
+        except KeyError:
+            with pytest.raises(ValueError, match=f"^no gluing path {src!r} -> {dst!r}$"):
+                carrier._transition_target(src, dst)
+        else:
+            assert carrier._transition_target(src, dst) == want
 
 
 def test_branched_rejects_unknown_labels():
