@@ -83,11 +83,19 @@ class SpaceFileError(Exception):
 # space-definition files
 
 
-def _parse_tokens(tokens):
+# the options a space line reads, each at most once
+_SPACE_OPTIONS = ("kind", "carrier", "metric", "expect", "rule")
+
+
+def _parse_tokens(tokens, line):
     positional, options = [], {}
     for tok in tokens:
         if "=" in tok:
             key, _, val = tok.partition("=")
+            if key not in _SPACE_OPTIONS:
+                raise SpaceFileError(line, f"unknown option {key!r}")
+            if key in options:
+                raise SpaceFileError(line, f"option {key!r} given twice")
             options[key] = val
         else:
             positional.append(tok)
@@ -149,7 +157,7 @@ def _build_space(space_id, kind, carrier, args, rule, reg, glues, line):
 
 
 def _parse_space_line(tokens, reg, glues, line):
-    positional, options = _parse_tokens(tokens)
+    positional, options = _parse_tokens(tokens, line)
     if not positional:
         raise SpaceFileError(line, "space line needs an id")
     space_id = positional[0]
@@ -161,6 +169,10 @@ def _parse_space_line(tokens, reg, glues, line):
     carrier = options.get("carrier")
     if carrier is None:
         raise SpaceFileError(line, "space line needs carrier=<name>")
+    if "rule" in options and carrier not in ("labels", "naturals"):
+        raise SpaceFileError(line, f"carrier {carrier!r} takes no rule")
+    if options.get("expect", "reject") != "reject":
+        raise SpaceFileError(line, f"expect must be 'reject', got {options['expect']!r}")
     space = _build_space(
         space_id, kind, carrier, positional[1:], options.get("rule"), reg, glues, line
     )
@@ -168,7 +180,7 @@ def _parse_space_line(tokens, reg, glues, line):
         raise SpaceFileError(
             line, f"carrier {carrier!r} is {space.kind.value}, declared {kind!r}"
         )
-    if options.get("expect") == "reject":
+    if "expect" in options:
         space = dataclasses.replace(space, expect_reject=True)
     metric = None
     metric_name = options.get("metric", "default")
@@ -470,7 +482,11 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=2026, help="RNG seed echoed in reports")
     common.add_argument(
-        "--budget", type=_budget, default=300, help="sampling budget per check, at least 1"
+        "--budget",
+        type=_budget,
+        default=300,
+        help="draws of the multiplication law and of each compat scan, at least 1; "
+        "the unit law, the coseparator law and the support condition draw 200 each",
     )
     common.add_argument("--format", choices=("text", "json"), default="text")
     common.add_argument("--spaces", metavar="FILE", help="space definition file to load")

@@ -7,12 +7,13 @@ associativity of flattening, naturality, linearity of expectation) are
 checked with exact Fraction arithmetic.
 
 A measure is built in one pass: the total mass is checked on integers over
-the least common denominator, the atoms are put in payload_sort_key order,
-and equal neighbours merge, so no atom is hashed.  Where every payload is
-a rational, every one a str, or every one a tuple of rationals, the
-payloads themselves compare in that order, so the sort compares them
-directly and builds no key per atom.  Flattening and expectations run on
-ints over a common denominator and build one Fraction per result.
+the least common denominator, the atoms are sorted on their payloads' own
+comparison, and equal neighbours merge, so no atom is hashed.  Every
+carrier makes payloads of one shape, so that comparison is a total order:
+rationals and finite extended values by value, then inf, strs as strs,
+tuples position by position.  Payloads that do not compare are refused.
+Flattening and expectations run on ints over a common denominator and
+build one Fraction per result.
 """
 
 from __future__ import annotations
@@ -31,21 +32,7 @@ from .spaces import (
     _split_top,
     _weighted_sum,
     as_ext,
-    payload_sort_key,
 )
-
-
-_RATIONAL = frozenset((Fraction, int))
-
-
-def _sorts_on_payload(payloads) -> bool:
-    """Do these payloads compare among themselves in payload_sort_key's
-    order?  They do when all are rationals (Fraction or int), all are strs,
-    or all are tuples of rationals; any other mix needs the key."""
-    kinds = {type(p) for p in payloads}
-    if kinds <= _RATIONAL or kinds == {str}:
-        return True
-    return kinds == {tuple} and all(type(c) in _RATIONAL for p in payloads for c in p)
 
 
 def _atom_payload(atom):
@@ -53,19 +40,18 @@ def _atom_payload(atom):
 
 
 def _sort_atoms(pairs: list) -> None:
-    """Sort (Element, weight) pairs stably by payload_sort_key of the
-    Element's payload, comparing payloads directly where that gives the
-    same order, so that no key is built per atom."""
-    if _sorts_on_payload([e.payload for e, _ in pairs]):
+    """Sort (Element, weight) pairs stably on the Elements' payloads, the
+    canonical order.  Payloads that do not compare are refused."""
+    try:
         pairs.sort(key=_atom_payload)
-    else:
-        pairs.sort(key=lambda kv: payload_sort_key(kv[0].payload))
+    except TypeError as exc:
+        raise ValueError("atom payloads do not compare among themselves") from exc
 
 
 def _merged_atoms(pairs: list) -> tuple:
-    """The (Element, weight) pairs in canonical order with == neighbours
-    merged: the first Element is kept and the weights are added in input
-    order.  No atom is hashed."""
+    """The (Element, weight) pairs sorted on their payloads with ==
+    neighbours merged: the first Element is kept and the weights are added
+    in input order.  No atom is hashed."""
     if len(pairs) == 1:
         return tuple(pairs)
     _sort_atoms(pairs)
@@ -115,10 +101,7 @@ class FinMeasure:
         return Fraction(0)
 
     def sort_key(self):
-        return (
-            self.space_id,
-            tuple((payload_sort_key(e.payload), w) for e, w in self.atoms),
-        )
+        return self.space_id, tuple((e.payload, w) for e, w in self.atoms)
 
 
 @dataclass(frozen=True)

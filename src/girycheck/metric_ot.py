@@ -152,9 +152,9 @@ def table_metric(space: ConvexSpaceSpec, table: dict) -> ExtMetric:
     return ExtMetric(space.id, "table", d)
 
 
-def product_sum_metric(space: ConvexSpaceSpec, parts=None) -> ExtMetric:
+def product_sum_metric(space: ConvexSpaceSpec) -> ExtMetric:
     comps = space.carrier.components
-    parts = tuple(parts) if parts is not None else tuple(default_metric(c) for c in comps)
+    parts = tuple(default_metric(c) for c in comps)
 
     def d(x, y):
         return ext_sum(
@@ -389,15 +389,17 @@ def _finish(P, Q, instance, plan, method) -> TransportResult:
         den, cost = mass_den * mass_den, INF
     else:
         den, cost = mass_den, ExtValue(Fraction(cost, mass_den * cost_den))
+    # P's and Q's atoms are canonical and distinct, so the positive cells in
+    # (i, j) order are the joint's canonical atoms; their masses sum to den
     xs = [e.payload for e, _ in P.atoms]
     ys = [e.payload for e, _ in Q.atoms]
     pair_id = f"({P.space_id}x{Q.space_id})"
-    pairs = [
+    atoms = tuple(
         (Element(pair_id, (xs[i], ys[j])), Fraction(w, den))
         for (i, j), w in sorted(plan.items())
         if w > 0
-    ]
-    return TransportResult(cost, Coupling(FinMeasure.from_pairs(pair_id, pairs), P, Q), method)
+    )
+    return TransportResult(cost, Coupling(FinMeasure(pair_id, atoms), P, Q), method)
 
 
 # ---------------------------------------------------------------------------

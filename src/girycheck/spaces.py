@@ -164,21 +164,6 @@ def _payload_str(p) -> str:
     raise TypeError(f"unprintable payload {p!r}")
 
 
-def payload_sort_key(p):
-    """Total order on payloads of a common shape, for canonical listings."""
-    if type(p) is Fraction:
-        return ("f", p)
-    if isinstance(p, str):
-        return ("s", p)
-    if isinstance(p, ExtValue):
-        return ("g", ()) if p.is_inf else ("f", p.value)
-    if isinstance(p, (Fraction, int)):
-        return ("f", Fraction(p))
-    if isinstance(p, tuple):
-        return ("t", tuple(payload_sort_key(c) for c in p))
-    raise TypeError(f"unsortable payload {p!r}")
-
-
 # ---------------------------------------------------------------------------
 # carriers
 
@@ -411,6 +396,8 @@ class FiniteDiscrete:
 
     rule "min"/"max" takes the earlier/later label in declaration order;
     rule "collapse" sends every combination of distinct points to `center`.
+    The labels must compare among themselves: a measure sorts its atoms on
+    them.
     """
 
     labels: tuple
@@ -425,6 +412,10 @@ class FiniteDiscrete:
         rank = {lab: k for k, lab in enumerate(self.labels)}
         if len(rank) != len(self.labels):
             raise ValueError("duplicate labels")
+        try:
+            sorted(self.labels)
+        except TypeError:
+            raise ValueError(f"labels {self.labels} do not compare among themselves") from None
         if self.rule not in ("min", "max", "collapse"):
             raise ValueError(f"unknown rule {self.rule!r}")
         if self.rule == "collapse" and self.center not in self.labels:
@@ -943,7 +934,7 @@ class Ideal:
     members: frozenset
 
     def member_list(self):
-        return sorted(self.members, key=lambda e: payload_sort_key(e.payload))
+        return sorted(self.members, key=lambda e: e.payload)
 
 
 def is_ideal(space: ConvexSpaceSpec, members: frozenset) -> bool:
@@ -983,7 +974,7 @@ def enumerate_ideals(space: ConvexSpaceSpec):
             todo.extend(m | other for other in found)
             found.add(m)
     out = [Ideal(space.id, frozenset(c.elems[i] for i in _bits(m))) for m in found]
-    out.sort(key=lambda i: (len(i.members), [payload_sort_key(e.payload) for e in i.member_list()]))
+    out.sort(key=lambda i: (len(i.members), [e.payload for e in i.member_list()]))
     return tuple(out)
 
 

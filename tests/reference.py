@@ -46,6 +46,23 @@ def payload_key(p):
     return (0, Fraction(p))
 
 
+def payloads_compare(a, b) -> bool:
+    """Do two payloads compare: both rationals (inf among them), both strs,
+    or both tuples whose first unequal positions compare (or one of which
+    is a prefix of the other)?"""
+    ka, kb = payload_key(a)[0], payload_key(b)[0]
+    if ka <= 1 and kb <= 1:
+        return True
+    if ka != kb:
+        return False
+    if ka == 2:
+        return True
+    for x, y in zip(a, b):
+        if payload_key(x) != payload_key(y):
+            return payloads_compare(x, y)
+    return True
+
+
 # ---------------------------------------------------------------------------
 # measures
 
@@ -77,6 +94,9 @@ def fin_from_pairs(space_id, pairs) -> FinMeasure:
 
     merged = _merged(pairs, stray, "measure with no mass")
     atoms = sorted(merged.items(), key=lambda a: payload_key(a[0].payload))
+    # neighbours in the key order compare exactly when all pairs do
+    if not all(payloads_compare(a.payload, b.payload) for (a, _), (b, _) in zip(atoms, atoms[1:])):
+        raise ValueError("atom payloads do not compare among themselves")
     return FinMeasure(space_id, tuple(atoms))
 
 

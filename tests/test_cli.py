@@ -89,6 +89,12 @@ def test_parse_errors_carry_line_numbers(tmp_path):
         ("space X kind=geometric carrier=interval 0 1 metric=discrete", "needs a finite carrier"),
         # a measure header ends at the first ':', so no measure could name it
         ("space a:b kind=discrete carrier=labels x y rule=max", "space id 'a:b' holds ':'"),
+        # an option the line does not read is refused, not dropped
+        ("space I kind=geometric carrier=interval 0 1 metirc=discrete", "unknown option 'metirc'"),
+        ("space I kind=geometric carrier=interval 0 1 rule=max", "carrier 'interval' takes no rule"),
+        ("space I kind=discrete carrier=labels x a=b y rule=max", "unknown option 'a'"),
+        ("space I kind=geometric carrier=interval 0 1 expect=rejct", "expect must be 'reject'"),
+        ("space I kind=discrete carrier=labels x y rule=max rule=min", "option 'rule' given twice"),
     ] + [
         # a label that a measure text could not carry back
         (f"space X kind=discrete carrier=labels a{ch}b c", f"label 'a{ch}b' contains {ch!r}")
@@ -453,6 +459,19 @@ def test_main_entry_point_directly(tmp_path, capsys):
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["command"] == "counterexample"
+
+
+def test_budget_sets_the_mult_law_draws_and_the_other_laws_draw_200(capsys):
+    assert main(["check-laws", "--space", "vee", "--budget", "7", "--format", "json"]) == 0
+    vee = json.loads(capsys.readouterr().out)["spaces"]["vee"]
+    laws = ("mult_law", "unit_law", "coseparator_law", "support_condition")
+    notes = {law: vee[law]["note"] for law in laws}
+    assert notes == {
+        "mult_law": "7 random meta-measures",
+        "unit_law": "landmarks + 200 samples",
+        "coseparator_law": "200 random measures x 1 maps",
+        "support_condition": "200 random measures, branch labels",
+    }
 
 
 def test_report_all_is_byte_identical_across_hash_seeds(tmp_path):

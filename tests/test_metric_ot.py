@@ -383,6 +383,34 @@ def test_marginals_are_exactly_the_inputs():
         assert plan.marginal("right") == Q
 
 
+def _distinct_measure(rng, space, k):
+    """k distinct points from the space's sampler with weights 1..9 over
+    their sum."""
+    points = {}
+    while len(points) < k:
+        points.setdefault(space.sample_element(rng), None)
+    ws = [rng.randint(1, 9) for _ in range(k)]
+    return FinMeasure.from_pairs(space.id, [(e, F(w, sum(ws))) for e, w in zip(points, ws)])
+
+
+@pytest.mark.parametrize("sid", ["box2", "simplex3", "rinf-grid", "unit_interval"])
+def test_the_joint_measure_is_built_in_canonical_order(sid):
+    # _finish builds the joint straight from the plan in (i, j) order, with
+    # no pass through from_pairs; from_pairs must find nothing to reorder
+    space, rng = REG[sid], random.Random(f"joint/{sid}")
+    metric = default_metric(space)
+    costs = set()
+    for _ in range(12):
+        P, Q = (_distinct_measure(rng, space, rng.randint(4, 16)) for _ in range(2))
+        small = [_distinct_measure(rng, space, rng.randint(1, 4)) for _ in range(2)]
+        for result in (wasserstein(P, Q, metric), brute_force_wasserstein(*small, metric)):
+            joint = result.plan.joint
+            assert FinMeasure.from_pairs(joint.space_id, joint.atoms) == joint
+            assert result.plan.marginals_ok()
+            costs.add(result.cost.is_inf)
+    assert costs == ({False, True} if sid == "rinf-grid" else {False})
+
+
 def test_degenerate_equal_masses():
     # equal cumulative masses force degenerate pivots in the simplex
     P = unit_measure((0, F(1, 3)), (F(1, 2), F(1, 3)), (1, F(1, 3)))

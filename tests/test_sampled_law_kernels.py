@@ -71,7 +71,8 @@ rationals = st.one_of(
 )
 labels = st.sampled_from(("a", "b", "c", "ab"))
 # one strategy per payload family; each family's values hash as they
-# compare, so a dict merges exactly the atoms that are ==
+# compare, so a dict merges exactly the atoms that are ==.  The two mixed
+# families draw payloads that may not compare, which both refuse alike
 PAYLOAD_FAMILIES = {
     "rational": rationals,
     "label": labels,

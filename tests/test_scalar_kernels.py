@@ -8,6 +8,7 @@ dataclass hash it stands for.
 """
 
 import copy
+import itertools
 import os
 import pickle
 import random
@@ -20,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from girycheck.extvalue import INF, ExtValue
-from girycheck.measures import FinMeasure, _sort_atoms, _sorts_on_payload
+from girycheck.measures import FinMeasure, _sort_atoms
 from girycheck.sampling import _cut_numerators
 from girycheck.spaces import (
     Box,
@@ -33,8 +34,12 @@ from girycheck.spaces import (
     combine,
     extended_line_space,
     interval_space,
+    labels_space,
+    naturals_space,
+    product_space,
     simplex_space,
 )
+from generators import arm_payloads, random_arm_tree
 import reference
 
 REG = builtin_spaces()
@@ -202,7 +207,7 @@ def test_sampled_elements_are_members(space):
 
 
 # ---------------------------------------------------------------------------
-# canonical atom order without keys
+# canonical atom order: the payloads' own comparison
 
 labels = st.text(alphabet="abcxyzAB0", min_size=1, max_size=3)
 payload_families = [
@@ -248,23 +253,99 @@ def test_keyfree_sort_equals_the_keyed_sort_on_one_family(family, data):
 
 @settings(max_examples=300, deadline=None)
 @given(payloads=st.lists(mixed_payloads, min_size=1, max_size=10))
-def test_keyfree_sort_equals_the_keyed_sort_on_mixed_payloads(payloads):
+def test_mixed_payloads_sort_canonically_or_are_refused(payloads):
     merged = _merged(payloads)
     items = list(merged.items())
-    _sort_atoms(items)
-    assert items == _canonical(merged)
+    keys = [e.payload for e in merged]
+    if all(reference.payloads_compare(a, b) for a, b in itertools.combinations(keys, 2)):
+        _sort_atoms(items)
+        assert items == _canonical(merged)
+    else:
+        with pytest.raises(ValueError, match="atom payloads do not compare among themselves"):
+            _sort_atoms(items)
 
 
-def test_homogeneous_payloads_sort_without_keys():
-    F = Fraction
-    assert _sorts_on_payload([F(1, 2), F(-3)])
-    assert _sorts_on_payload([1, F(1, 2), 0])
-    assert _sorts_on_payload(["b", "a"])
-    assert _sorts_on_payload([(F(1), 2), (F(0), F(1, 3))])
-    assert not _sorts_on_payload([F(1), "a"])
-    assert not _sorts_on_payload([ExtValue(1), ExtValue(2)])
-    assert not _sorts_on_payload([(F(1), "a")])
-    assert not _sorts_on_payload([True, False])
+@pytest.mark.parametrize(
+    "payloads",
+    [
+        ("a", Fraction(1)),
+        (INF, "a"),
+        ((Fraction(1), Fraction(2)), Fraction(1)),
+        (("a", Fraction(1)), ("a", "x")),
+        (("b", Fraction(1)), ("a", INF), ("a", (Fraction(0),))),
+    ],
+)
+def test_from_pairs_refuses_payloads_that_do_not_compare(payloads):
+    pairs = [(Element("S", p), Fraction(1, len(payloads))) for p in payloads]
+    with pytest.raises(ValueError, match="atom payloads do not compare among themselves"):
+        FinMeasure.from_pairs("S", pairs)
+
+
+@pytest.mark.parametrize("labels", [("a", 1), ("a", ("b",)), (Fraction(1, 2), "x", "y")])
+def test_labels_that_do_not_compare_are_refused(labels):
+    with pytest.raises(ValueError, match="do not compare among themselves"):
+        labels_space("m", labels, "min")
+
+
+def test_labels_of_one_shape_build():
+    for labels in ((2, Fraction(1, 2), 0), ("b", "a"), (("a", 1), ("a", Fraction(1, 3)))):
+        assert labels_space("m", labels, "max").carrier.labels == labels
+
+
+# every carrier the space-file grammar builds, branched arm trees and
+# coupling pairs aside; products nest and mix them
+_LABELS = labels_space("lab", ("x", "b", "a0"), "min")
+_NATURALS = naturals_space("nat", 5, "max")
+_BASE_SPACES = [
+    _LABELS,
+    _NATURALS,
+    interval_space("iv", -1, 1),
+    box_space("bx", [(0, 1), (-1, 1)]),
+    simplex_space("sx", 3),
+    extended_line_space("xl", -2, 2),
+]
+_GRAMMAR_SPACES = _BASE_SPACES + [
+    product_space(_LABELS, _BASE_SPACES[2], "labxiv"),
+    product_space(_BASE_SPACES[5], _NATURALS, "xlxnat"),
+    product_space(product_space(_BASE_SPACES[3], _LABELS), _BASE_SPACES[4], "nested"),
+]
+
+
+def _space_points(space, rng, k):
+    """The space's landmarks (inf among them) and k draws."""
+    points = [e.payload for e in space.landmark_elements()]
+    points += [space.carrier.sample(rng) for _ in range(k)]
+    return points
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    which=st.integers(0, len(_GRAMMAR_SPACES) + 1),
+    seed=st.integers(0, 2**32),
+    k=st.integers(1, 12),
+    pairs=st.booleans(),
+)
+def test_from_pairs_orders_every_carriers_atoms_as_the_model(which, seed, k, pairs):
+    rng = random.Random(seed)
+    if which < len(_GRAMMAR_SPACES):
+        space = _GRAMMAR_SPACES[which]
+        points = _space_points(space, rng, k)
+    else:
+        # a forest of interval and extended-line arms, or a product with one
+        space = random_arm_tree(rng)
+        points = [space.carrier.normalize(p) for p in arm_payloads(space)]
+        points += [space.carrier.sample(rng) for _ in range(k)]
+        if which > len(_GRAMMAR_SPACES):
+            space = product_space(space, _LABELS)
+            points = [(p, rng.choice(_LABELS.carrier.labels)) for p in points]
+    chosen = [rng.choice(points) for _ in range(k)]
+    if pairs:
+        # the payloads of a coupling of two measures on the space
+        chosen = [(x, rng.choice(points)) for x in chosen]
+    sid = f"({space.id}x{space.id})" if pairs else space.id
+    atoms = [(Element(sid, p), Fraction(1, k)) for p in chosen]
+    got = FinMeasure.from_pairs(sid, atoms)
+    assert got == reference.fin_from_pairs(sid, atoms)
 
 
 def test_from_pairs_orders_tuples_lexicographically():
